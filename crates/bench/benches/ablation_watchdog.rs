@@ -8,6 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crossbeam::channel;
 use ingot_common::{Cost, EngineConfig, MonotonicClock, TableId};
 use ingot_core::monitor::{Monitor, TableDetail};
+use ingot_core::StmtCtx;
 
 const TEXT: &str = "select p.nref_id from protein p where p.nref_id = 'NF00000001'";
 
@@ -35,9 +36,10 @@ struct WatchdogRecord {
 
 fn bench_inline_sensors(c: &mut Criterion) {
     let monitor = Monitor::new(&EngineConfig::default(), MonotonicClock::new());
+    let ctx = StmtCtx::new(TEXT);
     c.bench_function("ablation_inline_sensors", |b| {
         b.iter(|| {
-            let mut s = monitor.begin_statement(black_box(TEXT));
+            let mut s = monitor.begin_statement(black_box(&ctx));
             monitor.parsed(&mut s, vec![table_detail()], vec![]);
             monitor.optimized(&mut s, Cost::new(100.0, 3.0), vec![], 1_000, 3);
             monitor.executed(&mut s, 1, 0);

@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ingot_common::TableId;
 use ingot_common::{fnv1a64, Cost, EngineConfig, MonotonicClock, StmtHash};
 use ingot_core::monitor::{Monitor, RingBuffer, TableDetail};
+use ingot_core::StmtCtx;
 
 fn bench_hashing(c: &mut Criterion) {
     let text = "select p.nref_id, sequence, ordinal from protein p \
@@ -29,10 +30,10 @@ fn bench_ring(c: &mut Criterion) {
 
 fn bench_sensor_pipeline(c: &mut Criterion) {
     let monitor = Monitor::new(&EngineConfig::default(), MonotonicClock::new());
-    let text = "select p.nref_id from protein p where p.nref_id = 'NF00000001'";
+    let ctx = StmtCtx::new("select p.nref_id from protein p where p.nref_id = 'NF00000001'");
     c.bench_function("full_sensor_pipeline_per_statement", |b| {
         b.iter(|| {
-            let mut s = monitor.begin_statement(black_box(text));
+            let mut s = monitor.begin_statement(black_box(&ctx));
             monitor.parsed(
                 &mut s,
                 vec![TableDetail {
@@ -52,7 +53,7 @@ fn bench_sensor_pipeline(c: &mut Criterion) {
     });
     c.bench_function("begin_statement_only", |b| {
         b.iter(|| {
-            let s = monitor.begin_statement(black_box(text));
+            let s = monitor.begin_statement(black_box(&ctx));
             black_box(&s);
         })
     });

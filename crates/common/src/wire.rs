@@ -738,12 +738,18 @@ impl Response {
 // Stream I/O.
 // ---------------------------------------------------------------------------
 
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
 fn io_err(e: std::io::Error) -> Error {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-            Error::transient_io(format!("socket timeout: {e}"))
-        }
-        _ => Error::Io(e.to_string()),
+    if is_timeout(&e) {
+        Error::transient_io(format!("socket timeout: {e}"))
+    } else {
+        Error::Io(e.to_string())
     }
 }
 
@@ -772,41 +778,45 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> Result<()> {
 }
 
 /// Read one frame. `Ok(None)` is a clean end-of-stream (the peer closed at
-/// a frame boundary); a timeout surfaces as retryable [`Error::TransientIo`]
-/// and mid-frame truncation or an oversized prefix as [`Error::Protocol`].
+/// a frame boundary); a timeout before the first length byte surfaces as
+/// retryable [`Error::TransientIo`], and mid-frame truncation or an
+/// oversized prefix as [`Error::Protocol`]. Once a frame has begun, read
+/// timeouts are retried rather than reported: a caller that retries
+/// `TransientIo` would otherwise read the rest of a paused frame as the
+/// next length prefix. Shutting the socket down still ends such a read.
 pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Option<(u8, Vec<u8>)>> {
     let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(Error::protocol("connection closed mid frame")),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            // A timeout with partial length bytes still surfaces as
-            // transient; the buffered prefix is lost, so callers treat a
-            // transient error mid-frame as fatal and only retry timeouts
-            // that arrive with got == 0 (see ingot-server's read loop).
-            Err(e) => return Err(io_err(e)),
-        }
+    if !fill(r, &mut len_buf, false)? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(len_buf);
     if len == 0 || len > max_bytes {
         return Err(Error::protocol(format!("invalid frame length {len}")));
     }
     let mut frame = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < frame.len() {
-        match r.read(&mut frame[filled..]) {
-            Ok(0) => return Err(Error::protocol("connection closed mid frame")),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err(e)),
-        }
-    }
+    fill(r, &mut frame, true)?;
     let opcode = frame[0];
     frame.remove(0);
     Ok(Some((opcode, frame)))
+}
+
+/// Fill `buf` from `r`. `Ok(false)` is end-of-stream before any byte of a
+/// frame (`begun` false and nothing read yet); only then may a timeout
+/// surface, too.
+fn fill(r: &mut impl Read, buf: &mut [u8], begun: bool) -> Result<bool> {
+    let mut got = 0usize;
+    while got < buf.len() {
+        let started = begun || got > 0;
+        match r.read(&mut buf[got..]) {
+            Ok(0) if !started => return Ok(false),
+            Ok(0) => return Err(Error::protocol("connection closed mid frame")),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if started && is_timeout(&e) => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    Ok(true)
 }
 
 /// Convenience: encode and write `req`.
@@ -1041,6 +1051,62 @@ mod tests {
             read_frame(&mut r, MAX_FRAME_BYTES),
             Err(Error::Protocol(_))
         ));
+    }
+
+    /// Yields its bytes in the given chunks, with a read timeout
+    /// (`WouldBlock`) after each chunk.
+    struct Stalling {
+        chunks: Vec<Vec<u8>>,
+        stall: bool,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.stall) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            if self.chunks.is_empty() {
+                return Ok(0);
+            }
+            let chunk = &mut self.chunks[0];
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.remove(0);
+            }
+            self.stall = true;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn timeouts_inside_a_frame_do_not_split_it() {
+        let req = Request::Execute {
+            sql: "select v from kv where id = $1".into(),
+            params: vec![Value::Int(7)],
+        };
+        let mut buf = Vec::new();
+        write_request(&mut buf, &req).unwrap();
+        // Stall between the length bytes and twice inside the body.
+        let chunks = vec![
+            buf[..2].to_vec(),
+            buf[2..4].to_vec(),
+            buf[4..10].to_vec(),
+            buf[10..].to_vec(),
+        ];
+        let mut r = Stalling {
+            chunks,
+            stall: false,
+        };
+        let (op, body) = read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap();
+        assert_eq!(Request::decode(op, &body).unwrap(), req);
+        // Between frames a timeout is still reported, then EOF.
+        assert!(matches!(
+            read_frame(&mut r, MAX_FRAME_BYTES),
+            Err(Error::TransientIo(_))
+        ));
+        assert!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().is_none());
     }
 
     #[test]

@@ -27,20 +27,23 @@ use ingot_common::waits::SessionWaits;
 use ingot_common::{MonotonicClock, RingBuffer, StmtHash};
 use parking_lot::Mutex;
 
-/// What a session is currently executing (live state read by the sampler).
+use crate::stmt::StmtCtx;
+
+/// What a session is currently executing (live state read by the sampler
+/// and by `ima$connections`).
 #[derive(Debug, Clone)]
 pub struct CurrentStatement {
-    /// Statement hash (of the raw text, matching `ima$statements`).
-    pub hash: StmtHash,
-    /// Whitespace-normalized template (matching the plan cache key).
-    pub template: String,
+    /// The statement's shared identity: raw text, hash (matching
+    /// `ima$statements`) and template (matching the plan-cache key).
+    pub ctx: Arc<StmtCtx>,
     /// When execution began, wall-clock nanoseconds.
     pub start_ns: u64,
 }
 
-/// Per-session slot in the sampler's registry: the session's wait-accounting
-/// sink plus its current statement, published at statement begin and cleared
-/// at statement end.
+/// A session's record: its wait-accounting sink plus its current statement,
+/// published at statement begin and cleared at statement end. Every session
+/// of a monitored engine carries one; the sampler reads the slots registered
+/// with it.
 #[derive(Debug)]
 pub struct ActiveSession {
     session_id: u64,
@@ -49,10 +52,11 @@ pub struct ActiveSession {
 }
 
 impl ActiveSession {
-    fn new(session_id: u64, recent_waits: usize) -> Self {
+    /// An idle slot for `session_id`.
+    pub fn new(session_id: u64) -> Self {
         ActiveSession {
             session_id,
-            waits: Arc::new(SessionWaits::new(recent_waits)),
+            waits: Arc::new(SessionWaits::new(SESSION_RECENT_WAITS)),
             current: Mutex::new(None),
         }
     }
@@ -69,10 +73,9 @@ impl ActiveSession {
     }
 
     /// Publish the statement this session is now executing.
-    pub fn begin_statement(&self, hash: StmtHash, template: String, start_ns: u64) {
+    pub fn begin_statement(&self, ctx: &Arc<StmtCtx>, start_ns: u64) {
         *self.current.lock() = Some(CurrentStatement {
-            hash,
-            template,
+            ctx: Arc::clone(ctx),
             start_ns,
         });
     }
@@ -153,12 +156,11 @@ impl AshSampler {
         self.ring.lock().total_pushed()
     }
 
-    /// Register `session_id` and return its slot. Called by
-    /// `Engine::open_session`.
-    pub fn register_session(&self, session_id: u64) -> Arc<ActiveSession> {
-        let slot = Arc::new(ActiveSession::new(session_id, SESSION_RECENT_WAITS));
-        self.sessions.lock().insert(session_id, Arc::clone(&slot));
-        slot
+    /// Start sampling `slot`. Called by `Engine::open_session`.
+    pub fn register_session(&self, slot: &Arc<ActiveSession>) {
+        self.sessions
+            .lock()
+            .insert(slot.session_id(), Arc::clone(slot));
     }
 
     /// Drop `session_id`'s slot. Called by `Session::drop`.
@@ -240,8 +242,8 @@ impl AshSampler {
                 Some(AshSample {
                     at_ns: now_ns,
                     session_id: slot.session_id(),
-                    hash: current.hash,
-                    template: current.template,
+                    hash: current.ctx.hash,
+                    template: current.ctx.template.clone(),
                     elapsed_ns: now_ns.saturating_sub(current.start_ns),
                     event,
                 })
@@ -261,6 +263,12 @@ mod tests {
         AshSampler::new(MonotonicClock::new(), interval_ns, cap)
     }
 
+    fn register(s: &AshSampler, session_id: u64) -> Arc<ActiveSession> {
+        let slot = Arc::new(ActiveSession::new(session_id));
+        s.register_session(&slot);
+        slot
+    }
+
     #[test]
     fn idle_engine_samples_no_rows() {
         let s = sampler(10, 16);
@@ -272,8 +280,8 @@ mod tests {
     #[test]
     fn active_statement_is_sampled_with_wait_state() {
         let s = sampler(10, 16);
-        let slot = s.register_session(5);
-        slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 1_000);
+        let slot = register(&s, 5);
+        slot.begin_statement(&StmtCtx::new("select 1"), 1_000);
         s.sample_now(3_000);
         let h = s.history();
         assert_eq!(h.len(), 1);
@@ -300,8 +308,8 @@ mod tests {
     #[test]
     fn cadence_is_rate_limited_and_election_is_single_winner() {
         let s = sampler(100, 1024);
-        let slot = s.register_session(1);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        let slot = register(&s, 1);
+        slot.begin_statement(&StmtCtx::new("q"), 0);
         let mut taken = 0;
         for now in 0..1_000 {
             if s.sample_if_due(now) {
@@ -317,8 +325,8 @@ mod tests {
     #[test]
     fn ring_stays_bounded() {
         let s = sampler(1, 8);
-        let slot = s.register_session(2);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        let slot = register(&s, 2);
+        slot.begin_statement(&StmtCtx::new("q"), 0);
         for now in 1..100 {
             s.sample_now(now);
         }
@@ -330,8 +338,8 @@ mod tests {
     #[test]
     fn deregister_removes_slot() {
         let s = sampler(1, 8);
-        let slot = s.register_session(3);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        let slot = register(&s, 3);
+        slot.begin_statement(&StmtCtx::new("q"), 0);
         s.deregister_session(3);
         s.sample_now(10);
         assert!(s.history().is_empty());

@@ -10,16 +10,15 @@ use ingot_catalog::{Catalog, SharedCatalog, StorageStructure, VersionChange, Wri
 use ingot_common::waits::{bind_session, WaitRegistry, WaitTotal};
 use ingot_common::{
     Column, Connection, Cost, EngineConfig, Error, IndexId, MonotonicClock, PreparedStatement,
-    Result, Row, Schema, SessionId, SimClock, Snapshot, StmtHash, TableId, TxnId, Value,
-    WalFsyncMode,
+    Result, Row, Schema, SessionId, SimClock, Snapshot, TableId, TxnId, Value, WalFsyncMode,
 };
 use ingot_executor::{
     dml::insert_one, execute_plan_snapshot, execute_plan_traced_snapshot, execute_statement_ctx,
     execute_statement_traced_ctx, DmlCtx, DmlObserver,
 };
 use ingot_planner::{
-    normalize_template, optimize, BindArtifacts, Binder, BoundStatement, CachedPlan,
-    OptimizerOptions, PlanCache, PlanCacheStats, PlannedStatement,
+    optimize, BindArtifacts, Binder, BoundStatement, CachedPlan, OptimizerOptions, PlanCache,
+    PlanCacheStats, PlannedStatement,
 };
 use ingot_sql::{param_count, parse_statement, ColumnDef, Statement};
 use ingot_storage::{
@@ -41,6 +40,7 @@ use crate::ima::{
 use crate::monitor::{
     AttributeDetail, IndexDetail, Monitor, StatSample, StatementSensor, TableDetail,
 };
+use crate::stmt::StmtCtx;
 
 /// Capacity of the engine-global recent-wait ring behind `ima$wait_events`'
 /// sibling history (`WaitRegistry::recent`).
@@ -495,10 +495,17 @@ impl Engine {
         Ok((records, txns.len() as u64))
     }
 
-    /// Open a session.
+    /// Open a session. On a monitored engine it carries an [`ActiveSession`]
+    /// record, which the ASH sampler also reads when wait events are on.
     pub fn open_session(self: &Arc<Self>) -> Session {
         let id = self.sessions.open();
-        let ash = self.ash.as_ref().map(|s| s.register_session(id.raw()));
+        let ash = self.monitor.as_ref().map(|_| {
+            let slot = Arc::new(ActiveSession::new(id.raw()));
+            if let Some(sampler) = &self.ash {
+                sampler.register_session(&slot);
+            }
+            slot
+        });
         Session {
             id,
             engine: Arc::clone(self),
@@ -1364,8 +1371,8 @@ pub struct Session {
     /// isolation). Auto-commit statements take a fresh snapshot each and
     /// never store it here.
     snap: Mutex<Option<Snapshot>>,
-    /// This session's ASH slot (wait sink + current-statement cell);
-    /// `None` when the wait subsystem is off.
+    /// This session's record (current statement + wait sink); `None` on an
+    /// unmonitored engine.
     ash: Option<Arc<ActiveSession>>,
 }
 
@@ -1397,16 +1404,15 @@ impl Session {
     /// Cumulative wait totals charged to this session, one row per
     /// [`ingot_common::WaitEvent`]. Empty when the wait subsystem is off.
     pub fn wait_totals(&self) -> Vec<WaitTotal> {
-        self.ash
-            .as_ref()
-            .map(|s| s.waits().counters().snapshot())
-            .unwrap_or_default()
+        match (&self.engine.waits, &self.ash) {
+            (Some(_), Some(slot)) => slot.waits().counters().snapshot(),
+            _ => Vec::new(),
+        }
     }
 
-    /// This session's ASH slot (wait sink + current-statement cell), `None`
-    /// when the wait subsystem is off. The server publishes each wire
-    /// connection's slot into `ima$connections` so the fleet view shows the
-    /// live wait event per peer.
+    /// This session's record (current statement + wait sink), `None` on an
+    /// unmonitored engine. `ima$connections` reads each wire connection's
+    /// statement and wait event from it.
     pub fn ash_slot(&self) -> Option<&Arc<ActiveSession>> {
         self.ash.as_ref()
     }
@@ -1459,7 +1465,7 @@ impl Session {
     /// parameters: the same plan-cache probe, sensors and locking as
     /// [`Prepared::execute`], so repeated texts skip parse/bind/optimize.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        self.execute_with_params(sql, &[])
+        self.execute_with_params(&StmtCtx::new(sql), &[])
     }
 
     /// Validate `sql` once and return a reusable handle that executes it
@@ -1468,7 +1474,7 @@ impl Session {
         let stmt = parse_statement(sql)?;
         Ok(Prepared {
             session: self,
-            text: sql.to_owned(),
+            ctx: StmtCtx::new(sql),
             param_count: param_count(&stmt),
         })
     }
@@ -1484,15 +1490,7 @@ impl Session {
         let (txn, auto) = self.current_txn();
         // Table-shared lock = DDL fence only; the insert itself takes
         // row-level constraint-key locks inside `insert_one`.
-        if let Err(e) = engine
-            .locks
-            .lock(txn, Resource::Table(id), LockMode::Shared)
-        {
-            if auto {
-                self.abort_auto_txn(txn, &e);
-            }
-            return Err(e);
-        }
+        self.acquire_locks(txn, auto, &[(id, false)])?;
         let catalog = engine.catalog.read();
         let observer = WalDmlObserver {
             engine,
@@ -1507,17 +1505,13 @@ impl Session {
         };
         let result = insert_one(&catalog, id, row, &ctx, &observer);
         drop(catalog);
-        if auto {
-            let fin = self.finish_auto_txn(txn, result.as_ref().err());
-            return result.and_then(|r| fin.map(|()| r));
-        }
-        result
+        self.finish_auto_txn(txn, auto, result)
     }
 
-    fn execute_with_params(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
+    fn execute_with_params(&self, ctx: &Arc<StmtCtx>, params: &[Value]) -> Result<StatementResult> {
         let engine = &*self.engine;
-        // Query-interface sensor: wall-clock start + text hash.
-        let mut sensor = engine.monitor.as_ref().map(|m| m.begin_statement(sql));
+        // Query-interface sensor: wall-clock start + the statement's identity.
+        let mut sensor = engine.monitor.as_ref().map(|m| m.begin_statement(ctx));
         // Structured tracing: one atomic load when disabled, a stage/span
         // builder when enabled.
         let mut trace = engine
@@ -1528,15 +1522,17 @@ impl Session {
         let start_ns = engine.wall.now_nanos();
         let io_before = engine.io_stats();
 
-        // Wait-event accounting: publish this statement to the session's
-        // ASH slot, give the cooperative sampler its tick, and bind the
+        // Publish this statement to the session's record. With wait events
+        // on, also give the cooperative sampler its tick and bind the
         // session's wait sink to this thread so guards anywhere down the
         // stack (locks, WAL, buffer pool, retry) charge it.
+        if let Some(slot) = &self.ash {
+            slot.begin_statement(ctx, start_ns);
+        }
         let mut wait_before = 0u64;
         let _wait_binding = match (&engine.waits, &self.ash) {
             (Some(registry), Some(slot)) => {
                 wait_before = slot.waits().counters().total_ns();
-                slot.begin_statement(StmtHash::of(sql), normalize_template(sql), start_ns);
                 if let Some(sampler) = &engine.ash {
                     sampler.sample_if_due(start_ns);
                 }
@@ -1549,7 +1545,7 @@ impl Session {
             _ => None,
         };
 
-        let outcome = self.execute_inner(sql, params, &mut sensor, &mut trace);
+        let outcome = self.execute_inner(ctx, params, &mut sensor, &mut trace);
         engine.statements_executed.fetch_add(1, Ordering::Relaxed);
 
         if let Some(slot) = &self.ash {
@@ -1576,8 +1572,7 @@ impl Session {
                 // records: the tracer's bookkeeping time lands in this
                 // statement's monitor_ns (Fig 5 stays honest).
                 if let (Some(tracer), Some(tb)) = (&engine.tracer, trace.take()) {
-                    let dt =
-                        tracer.record_statement(tb.finish(StmtHash::of(sql), result.wallclock_ns));
+                    let dt = tracer.record_statement(tb.finish(ctx.hash, result.wallclock_ns));
                     if let Some(s) = sensor.as_mut() {
                         s.add_self_time(dt);
                     }
@@ -1609,29 +1604,22 @@ impl Session {
 
     fn execute_inner(
         &self,
-        sql: &str,
+        ctx: &StmtCtx,
         params: &[Value],
         sensor: &mut Option<StatementSensor>,
         trace: &mut Option<TraceBuilder>,
     ) -> Result<StatementResult> {
         let engine = &*self.engine;
         // Plan-cache probe *before* parsing: a hit executes the memoized
-        // template without touching parser, binder or optimizer. Probe time
-        // is monitoring overhead, charged to the statement's monitor_ns.
+        // template without touching parser, binder or optimizer.
         if engine.plan_cache.capacity() > 0 {
-            let t0 = engine.wall.now_nanos();
-            let template = normalize_template(sql);
             let epoch = engine.catalog.read().epoch();
-            let cached = engine.plan_cache.probe(&template, epoch);
-            if let Some(s) = sensor.as_mut() {
-                s.add_self_time(engine.wall.now_nanos() - t0);
-            }
-            if let Some(cached) = cached {
-                return self.run_cached(sql, &cached, params, sensor, trace);
+            if let Some(cached) = engine.plan_cache.probe(&ctx.template, epoch) {
+                return self.run_cached(ctx, &cached, params, sensor, trace);
             }
         }
         let parse_t0 = self.engine.wall.now_nanos();
-        let stmt = parse_statement(sql)?;
+        let stmt = parse_statement(&ctx.text)?;
         if let Some(tb) = trace.as_mut() {
             tb.stage(Stage::Parse, self.engine.wall.now_nanos() - parse_t0);
         }
@@ -1660,7 +1648,7 @@ impl Session {
             Statement::Explain {
                 analyze: true,
                 inner,
-            } => self.run_explain_analyze(sql, &inner, sensor, trace),
+            } => self.run_explain_analyze(ctx, &inner, sensor, trace),
             Statement::CreateTable {
                 name,
                 columns,
@@ -1715,15 +1703,10 @@ impl Session {
                     catalog.collect_statistics_snapshot(id, &cols, now_secs, &snap)?;
                     Ok(StatementResult::default())
                 })();
-                if auto {
-                    let fin = self.finish_auto_txn(txn, result.as_ref().err());
-                    result.and_then(|r| fin.map(|()| r))
-                } else {
-                    result
-                }
+                self.finish_auto_txn(txn, auto, result)
             }
             Statement::Set { name, value } => self.set_option(&name, &value),
-            dml => self.run_dml(sql, &dml, params, sensor, trace),
+            dml => self.run_dml(ctx, &dml, params, sensor, trace),
         };
         if invalidates_plans && result.is_ok() {
             // Schema changes are redone from the log on recovery, so the
@@ -1732,7 +1715,7 @@ impl Session {
             // statement is acknowledged. Suppressed during replay itself.
             if !engine.wal.is_replaying() {
                 let lsn = engine.wal.append(&WalRecord::Ddl {
-                    sql: sql.to_owned(),
+                    sql: ctx.text.clone(),
                 })?;
                 engine.wal.commit_barrier(lsn)?;
             }
@@ -1882,19 +1865,10 @@ impl Session {
         let (txn, auto) = self.current_txn();
         if let Some(id) = id {
             let locked = self.engine.locks.lock(txn, Resource::Table(id), mode);
-            if let Err(e) = locked {
-                if auto {
-                    self.abort_auto_txn(txn, &e);
-                }
-                return Err(e);
-            }
+            locked.or_else(|e| self.finish_auto_txn(txn, auto, Err(e)))?;
         }
         let out = f(&self.engine);
-        if auto {
-            let fin = self.finish_auto_txn(txn, out.as_ref().err());
-            return out.and_then(|r| fin.map(|()| r));
-        }
-        out
+        self.finish_auto_txn(txn, auto, out)
     }
 
     fn current_txn(&self) -> (TxnId, bool) {
@@ -1904,26 +1878,22 @@ impl Session {
         }
     }
 
-    /// Close an auto-commit transaction: commit on success (`err` is
-    /// `None`), abort classified by the statement's error otherwise. Commit
-    /// goes through the WAL durability barrier; its error (a commit that
-    /// cannot be acknowledged) must replace an otherwise-successful
-    /// statement result.
-    fn finish_auto_txn(&self, txn: TxnId, err: Option<&Error>) -> Result<()> {
-        match err {
-            None => self.engine.commit_txn(txn),
-            Some(e) => {
-                self.engine.abort_txn_with(txn, AbortCause::from_error(e));
-                Ok(())
+    /// Pass `result` through, closing the transaction first when `auto`
+    /// (an auto-commit statement): commit on success, abort classified by
+    /// the statement's error otherwise. Commit goes through the WAL
+    /// durability barrier; its error (a commit that cannot be acknowledged)
+    /// replaces an otherwise-successful statement result.
+    fn finish_auto_txn<T>(&self, txn: TxnId, auto: bool, result: Result<T>) -> Result<T> {
+        if !auto {
+            return result;
+        }
+        match result {
+            Ok(r) => self.engine.commit_txn(txn).map(|()| r),
+            Err(e) => {
+                self.engine.abort_txn_with(txn, AbortCause::from_error(&e));
+                Err(e)
             }
         }
-    }
-
-    /// Abort an auto-commit transaction after a statement error.
-    /// Infallible, so error paths cannot accidentally discard a commit
-    /// failure the way `let _ = finish_auto_txn(…)` used to.
-    fn abort_auto_txn(&self, txn: TxnId, e: &Error) {
-        self.engine.abort_txn_with(txn, AbortCause::from_error(e));
     }
 
     /// The snapshot a statement of `txn` reads under: auto-commit statements
@@ -1958,12 +1928,6 @@ impl Session {
         if let Some(tb) = trace.as_mut() {
             tb.stage(Stage::Bind, engine.wall.now_nanos() - bind_t0);
         }
-        if let (Some(monitor), Some(s)) = (&engine.monitor, sensor.as_mut()) {
-            let t0 = engine.wall.now_nanos();
-            let (tables, attributes) = snapshot_details(&catalog, &artifacts);
-            s.add_self_time(engine.wall.now_nanos() - t0);
-            monitor.parsed(s, tables, attributes);
-        }
 
         let io_before = engine.io_stats().total();
         let t0 = engine.wall.now_nanos();
@@ -1973,27 +1937,46 @@ impl Session {
         if let Some(tb) = trace.as_mut() {
             tb.stage(Stage::Optimize, opt_ns);
         }
-        if let (Some(monitor), Some(s)) = (&engine.monitor, sensor.as_mut()) {
-            let used = planned
-                .used_indexes()
-                .iter()
-                .filter_map(|id| {
-                    catalog.index(*id).ok().map(|e| IndexDetail {
-                        id: *id,
-                        name: e.meta.name.clone(),
-                        table: e.meta.table,
-                        pages: e.pages(),
-                    })
-                })
-                .collect();
-            monitor.optimized(s, planned.estimated_cost(), used, opt_ns, opt_io);
-        }
+        self.feed_plan_sensors(sensor, &catalog, &artifacts, &planned, opt_ns, opt_io);
         Ok((bound, planned, artifacts, catalog.epoch()))
+    }
+
+    /// Feed the parse and optimize sensors from the bind artifacts and the
+    /// chosen plan, all read from the held `catalog` guard.
+    fn feed_plan_sensors(
+        &self,
+        sensor: &mut Option<StatementSensor>,
+        catalog: &Catalog,
+        artifacts: &BindArtifacts,
+        planned: &PlannedStatement,
+        opt_ns: u64,
+        opt_io: u64,
+    ) {
+        let (Some(monitor), Some(s)) = (&self.engine.monitor, sensor.as_mut()) else {
+            return;
+        };
+        let t0 = self.engine.wall.now_nanos();
+        let (tables, attributes) = snapshot_details(catalog, artifacts);
+        s.add_self_time(self.engine.wall.now_nanos() - t0);
+        monitor.parsed(s, tables, attributes);
+        let used = planned
+            .used_indexes()
+            .iter()
+            .filter_map(|id| {
+                catalog.index(*id).ok().map(|e| IndexDetail {
+                    id: *id,
+                    name: e.meta.name.clone(),
+                    table: e.meta.table,
+                    pages: e.pages(),
+                })
+            })
+            .collect();
+        monitor.optimized(s, planned.estimated_cost(), used, opt_ns, opt_io);
     }
 
     fn run_dml(
         &self,
-        sql: &str,
+        ctx: &StmtCtx,
         stmt: &Statement,
         params: &[Value],
         sensor: &mut Option<StatementSensor>,
@@ -2008,9 +1991,8 @@ impl Session {
         // reaching run_dml is cacheable: DDL, SET and EXPLAIN dispatch
         // elsewhere, and execution plans never use virtual indexes.
         if engine.plan_cache.capacity() > 0 {
-            let t0 = engine.wall.now_nanos();
             engine.plan_cache.insert(
-                normalize_template(sql),
+                ctx.template.clone(),
                 CachedPlan {
                     planned: planned.clone(),
                     artifacts,
@@ -2019,9 +2001,6 @@ impl Session {
                     param_count: params.len(),
                 },
             );
-            if let Some(s) = sensor.as_mut() {
-                s.add_self_time(engine.wall.now_nanos() - t0);
-            }
         }
         let planned = if params.is_empty() {
             planned
@@ -2031,12 +2010,7 @@ impl Session {
 
         // ---- lock acquisition ----
         let (txn, auto) = self.current_txn();
-        if let Err(e) = self.acquire_locks(txn, &lock_spec) {
-            if auto {
-                self.abort_auto_txn(txn, &e);
-            }
-            return Err(e);
-        }
+        self.acquire_locks(txn, auto, &lock_spec)?;
 
         // ---- execute + execution sensor + operator spans ----
         //
@@ -2052,11 +2026,7 @@ impl Session {
         if let Some(tb) = trace.as_mut() {
             tb.stage(Stage::Execute, engine.wall.now_nanos() - exec_t0);
         }
-        if auto {
-            let fin = self.finish_auto_txn(txn, exec_result.as_ref().err());
-            return exec_result.and_then(|r| fin.map(|()| r));
-        }
-        exec_result
+        self.finish_auto_txn(txn, auto, exec_result)
     }
 
     /// Execute a plan-cache hit: substitute the bound values into the cached
@@ -2066,7 +2036,7 @@ impl Session {
     /// plan is never executed.
     fn run_cached(
         &self,
-        sql: &str,
+        ctx: &StmtCtx,
         cached: &CachedPlan,
         params: &[Value],
         sensor: &mut Option<StatementSensor>,
@@ -2083,12 +2053,7 @@ impl Session {
         };
 
         let (txn, auto) = self.current_txn();
-        if let Err(e) = self.acquire_locks(txn, &cached.lock_spec) {
-            if auto {
-                self.abort_auto_txn(txn, &e);
-            }
-            return Err(e);
-        }
+        self.acquire_locks(txn, auto, &cached.lock_spec)?;
         let exec_t0 = engine.wall.now_nanos();
         let catalog = engine.catalog.read();
         if catalog.epoch() != cached.epoch {
@@ -2096,45 +2061,21 @@ impl Session {
             // the speculative locks (auto-commit scope) and replan fresh.
             // The next probe of this template drops the stale entry.
             drop(catalog);
-            if auto {
-                self.finish_auto_txn(txn, None)?;
-            }
-            let stmt = parse_statement(sql)?;
-            return self.run_dml(sql, &stmt, params, sensor, trace);
+            self.finish_auto_txn(txn, auto, Ok(()))?;
+            let stmt = parse_statement(&ctx.text)?;
+            return self.run_dml(ctx, &stmt, params, sensor, trace);
         }
 
         // The parse/optimize stages were skipped; feed the monitor from the
         // cached artifacts so the statement record stays complete.
-        if let (Some(monitor), Some(s)) = (&engine.monitor, sensor.as_mut()) {
-            let t0 = engine.wall.now_nanos();
-            let (tables, attributes) = snapshot_details(&catalog, &cached.artifacts);
-            s.add_self_time(engine.wall.now_nanos() - t0);
-            monitor.parsed(s, tables, attributes);
-            let used = planned
-                .used_indexes()
-                .iter()
-                .filter_map(|id| {
-                    catalog.index(*id).ok().map(|e| IndexDetail {
-                        id: *id,
-                        name: e.meta.name.clone(),
-                        table: e.meta.table,
-                        pages: e.pages(),
-                    })
-                })
-                .collect();
-            monitor.optimized(s, planned.estimated_cost(), used, 0, 0);
-        }
+        self.feed_plan_sensors(sensor, &catalog, &cached.artifacts, &planned, 0, 0);
 
         let exec_result = self.execute_planned(&catalog, &planned, txn, auto, trace);
         drop(catalog);
         if let Some(tb) = trace.as_mut() {
             tb.stage(Stage::Execute, engine.wall.now_nanos() - exec_t0);
         }
-        if auto {
-            let fin = self.finish_auto_txn(txn, exec_result.as_ref().err());
-            return exec_result.and_then(|r| fin.map(|()| r));
-        }
-        exec_result
+        self.finish_auto_txn(txn, auto, exec_result)
     }
 
     /// The shared execution tail of the fresh and cached plan paths: run the
@@ -2213,7 +2154,7 @@ impl Session {
     /// join against `ima$statements`), even when runtime tracing is off.
     fn run_explain_analyze(
         &self,
-        sql: &str,
+        ctx: &StmtCtx,
         inner: &Statement,
         sensor: &mut Option<StatementSensor>,
         trace: &mut Option<TraceBuilder>,
@@ -2228,12 +2169,7 @@ impl Session {
         let (bound, planned, _, _) = self.bind_and_optimize(inner, sensor, trace)?;
 
         let (txn, auto) = self.current_txn();
-        if let Err(e) = self.acquire_locks(txn, &lock_spec(&bound)) {
-            if auto {
-                self.abort_auto_txn(txn, &e);
-            }
-            return Err(e);
-        }
+        self.acquire_locks(txn, auto, &lock_spec(&bound))?;
 
         let exec_t0 = engine.wall.now_nanos();
         // Same discipline as `run_dml`: snapshot after locks, no engine lock
@@ -2266,21 +2202,14 @@ impl Session {
         if let Some(tb) = trace.as_mut() {
             tb.stage(Stage::Execute, engine.wall.now_nanos() - exec_t0);
         }
-        if auto {
-            let fin = self.finish_auto_txn(txn, exec_result.as_ref().err());
-            if exec_result.is_ok() {
-                fin?;
-            }
-        }
-        let (tuples, affected, spans) = exec_result?;
+        let (tuples, affected, spans) = self.finish_auto_txn(txn, auto, exec_result)?;
 
         // Feed the aggregates. With tracing on, the spans ride the statement
         // trace recorded by `execute`; otherwise merge them directly.
-        let hash = StmtHash::of(sql);
         if let Some(tb) = trace.as_mut() {
             tb.set_ops(spans.clone());
         } else if let Some(tracer) = &engine.tracer {
-            let dt = tracer.record_operators(hash, &spans);
+            let dt = tracer.record_operators(ctx.hash, &spans);
             if let Some(s) = sensor.as_mut() {
                 s.add_self_time(dt);
             }
@@ -2325,16 +2254,18 @@ impl Session {
         })
     }
 
-    fn acquire_locks(&self, txn: TxnId, spec: &[(TableId, bool)]) -> Result<()> {
-        for (table, exclusive) in spec {
-            let mode = if *exclusive {
+    /// Take the table locks of `spec`; a failure aborts an auto-commit
+    /// (`auto`) transaction.
+    fn acquire_locks(&self, txn: TxnId, auto: bool, spec: &[(TableId, bool)]) -> Result<()> {
+        let locked = spec.iter().try_for_each(|&(table, exclusive)| {
+            let mode = if exclusive {
                 LockMode::Exclusive
             } else {
                 LockMode::Shared
             };
-            self.engine.locks.lock(txn, Resource::Table(*table), mode)?;
-        }
-        Ok(())
+            self.engine.locks.lock(txn, Resource::Table(table), mode)
+        });
+        locked.or_else(|e| self.finish_auto_txn(txn, auto, Err(e)))
     }
 }
 
@@ -2361,11 +2292,11 @@ fn lock_spec(bound: &BoundStatement) -> Vec<(TableId, bool)> {
     wanted
 }
 
-/// A prepared statement: the text is validated once by [`Session::prepare`],
-/// then executed any number of times with different parameter bindings. The
-/// optimized plan lives in the engine-wide plan cache, so repeated
-/// executions (from this handle or any session running the same template)
-/// skip parse/bind/optimize entirely.
+/// A prepared statement: the text is validated and its [`StmtCtx`] derived
+/// once by [`Session::prepare`], then executed any number of times with
+/// different parameter bindings. The optimized plan lives in the engine-wide
+/// plan cache, so repeated executions (from this handle or any session
+/// running the same template) skip parse/bind/optimize entirely.
 ///
 /// ```
 /// # use ingot_common::{EngineConfig, Value};
@@ -2383,16 +2314,11 @@ fn lock_spec(bound: &BoundStatement) -> Vec<(TableId, bool)> {
 /// ```
 pub struct Prepared<'a> {
     session: &'a Session,
-    text: String,
+    ctx: Arc<StmtCtx>,
     param_count: usize,
 }
 
 impl Prepared<'_> {
-    /// The statement text this handle was prepared from.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
     /// Number of parameter markers the statement declares.
     pub fn param_count(&self) -> usize {
         self.param_count
@@ -2404,7 +2330,7 @@ impl Prepared<'_> {
         if params.len() != self.param_count {
             return Err(Error::param_arity(self.param_count, params.len()));
         }
-        self.session.execute_with_params(&self.text, params)
+        self.session.execute_with_params(&self.ctx, params)
     }
 }
 
@@ -2733,7 +2659,7 @@ mod tests {
         let tracer = e.tracer().unwrap();
         assert!(tracer.enabled());
         assert!(tracer.statements_traced() > 0);
-        let hash = StmtHash::of("select name from protein where nref_id = 9");
+        let hash = ingot_common::StmtHash::of("select name from protein where nref_id = 9");
         let hist = tracer
             .histograms()
             .into_iter()

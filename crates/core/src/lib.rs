@@ -28,6 +28,7 @@ pub mod ash;
 pub mod engine;
 pub mod ima;
 pub mod monitor;
+pub mod stmt;
 
 pub use ash::{ActiveSession, AshSample, AshSampler, CurrentStatement, ON_CPU};
 pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
@@ -40,3 +41,4 @@ pub use ima::{
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};
 pub use monitor::{Monitor, MonitorHealth, StatementSensor};
+pub use stmt::StmtCtx;

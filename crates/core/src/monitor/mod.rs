@@ -15,10 +15,12 @@ pub mod records;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ingot_common::{Cost, EngineConfig, IndexId, MonotonicClock, StmtHash, TableId};
 use parking_lot::Mutex;
 
+use crate::stmt::StmtCtx;
 pub use ingot_common::RingBuffer;
 pub use records::{
     AttributeUsage, IndexUsage, RefObject, ReferenceRecord, StatSample, StatementInfo, TableUsage,
@@ -73,8 +75,7 @@ pub struct IndexDetail {
 #[derive(Debug)]
 pub struct StatementSensor {
     start_ns: u64,
-    hash: StmtHash,
-    text: String,
+    ctx: Arc<StmtCtx>,
     tables: Vec<TableDetail>,
     attributes: Vec<AttributeDetail>,
     used_indexes: Vec<IndexDetail>,
@@ -184,15 +185,14 @@ impl Monitor {
 
     // ---- sensors -----------------------------------------------------------
 
-    /// Query-interface sensor: wall-clock start + statement text hash.
+    /// Query-interface sensor: wall-clock start + the statement's identity
+    /// (hashed once, by [`StmtCtx::new`]).
     #[inline]
-    pub fn begin_statement(&self, text: &str) -> StatementSensor {
+    pub fn begin_statement(&self, ctx: &Arc<StmtCtx>) -> StatementSensor {
         let t0 = self.clock.now_nanos();
-        let hash = StmtHash::of(text);
         let sensor = StatementSensor {
             start_ns: t0,
-            hash,
-            text: text.to_owned(),
+            ctx: Arc::clone(ctx),
             tables: Vec::new(),
             attributes: Vec::new(),
             used_indexes: Vec::new(),
@@ -258,15 +258,17 @@ impl Monitor {
 
     /// Result sensor: wall-clock stop; writes the statement into the ring
     /// buffers.
-    pub fn record(&self, mut sensor: StatementSensor, sim_secs: u64) {
+    pub fn record(&self, sensor: StatementSensor, sim_secs: u64) {
         let t0 = self.clock.now_nanos();
         self.sensor_calls.fetch_add(1, Ordering::Relaxed);
         self.statements_recorded.fetch_add(1, Ordering::Relaxed);
+        let hash = sensor.ctx.hash;
         let mut st = self.state.lock();
         let state = &mut *st;
 
-        // statements table (+ references on first sight).
-        let is_new = !state.statements.contains_key(&sensor.hash);
+        // statements table (+ references on first sight; the text is copied
+        // only then).
+        let is_new = !state.statements.contains_key(&hash);
         if is_new {
             if state.statement_order.len() == self.statement_capacity {
                 if let Some(evict) = state.statement_order.pop_front() {
@@ -274,12 +276,12 @@ impl Monitor {
                     state.statement_evictions += 1;
                 }
             }
-            state.statement_order.push_back(sensor.hash);
+            state.statement_order.push_back(hash);
             state.statements.insert(
-                sensor.hash,
+                hash,
                 StatementInfo {
-                    hash: sensor.hash,
-                    text: std::mem::take(&mut sensor.text),
+                    hash,
+                    text: sensor.ctx.text.clone(),
                     frequency: 1,
                     first_seen_ns: sensor.start_ns,
                     last_seen_ns: sensor.start_ns,
@@ -287,7 +289,7 @@ impl Monitor {
             );
             for t in &sensor.tables {
                 state.references.push(ReferenceRecord {
-                    hash: sensor.hash,
+                    hash,
                     object: RefObject::Table,
                     object_id: u64::from(t.id.raw()),
                     table: t.id,
@@ -295,7 +297,7 @@ impl Monitor {
             }
             for a in &sensor.attributes {
                 state.references.push(ReferenceRecord {
-                    hash: sensor.hash,
+                    hash,
                     object: RefObject::Attribute,
                     object_id: a.column as u64,
                     table: a.table,
@@ -303,13 +305,13 @@ impl Monitor {
             }
             for i in &sensor.used_indexes {
                 state.references.push(ReferenceRecord {
-                    hash: sensor.hash,
+                    hash,
                     object: RefObject::Index,
                     object_id: u64::from(i.id.raw()),
                     table: i.table,
                 });
             }
-        } else if let Some(info) = state.statements.get_mut(&sensor.hash) {
+        } else if let Some(info) = state.statements.get_mut(&hash) {
             info.frequency += 1;
             info.last_seen_ns = sensor.start_ns;
         }
@@ -362,7 +364,7 @@ impl Monitor {
         let monitor_ns = sensor.self_ns + (now - t0);
         let seq = state.workload.total_pushed();
         state.workload.push(WorkloadRecord {
-            hash: sensor.hash,
+            hash,
             seq,
             opt_time_ns: sensor.opt_time_ns,
             opt_io: sensor.opt_io,
@@ -483,7 +485,7 @@ mod tests {
     }
 
     fn run_statement(m: &Monitor, text: &str) {
-        let mut s = m.begin_statement(text);
+        let mut s = m.begin_statement(&StmtCtx::new(text));
         m.parsed(
             &mut s,
             vec![TableDetail {

@@ -563,6 +563,7 @@ impl WorkloadDb {
 mod tests {
     use super::*;
     use ingot_common::EngineConfig;
+    use ingot_core::{ActiveSession, StmtCtx};
 
     #[test]
     fn schema_is_created() {
@@ -603,8 +604,9 @@ mod tests {
         let registry = engine.wait_registry().unwrap();
         let sampler = engine.ash_sampler().unwrap();
         registry.charge(ingot_common::WaitEvent::LockWaitX, 1_000);
-        let slot = sampler.register_session(99);
-        slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 0);
+        let slot = Arc::new(ActiveSession::new(99));
+        sampler.register_session(&slot);
+        slot.begin_statement(&StmtCtx::new("select 1"), 0);
         sampler.sample_now(10);
         let db = WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
         db.append_waits(&engine, 100).unwrap();
@@ -638,8 +640,9 @@ mod tests {
         let sampler = engine.ash_sampler().unwrap();
         let slots: Vec<_> = (1..=3)
             .map(|id| {
-                let slot = sampler.register_session(id);
-                slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 0);
+                let slot = Arc::new(ActiveSession::new(id));
+                sampler.register_session(&slot);
+                slot.begin_statement(&StmtCtx::new("select 1"), 0);
                 slot
             })
             .collect();

@@ -371,10 +371,10 @@ fn read_or_tick(
         }
         match wire::read_frame(stream, ctx.max_frame) {
             Ok(frame) => return Ok(frame),
-            // Read timeout: no bytes in READ_POLL_MS. Loop to re-check
-            // flags. (A timeout *mid-frame* would lose sync, but the next
-            // decode then fails and closes the connection — acceptable for
-            // a peer that stalls mid-frame for 200 ms.)
+            // Read timeout: no frame began in READ_POLL_MS. Loop to re-check
+            // flags. (`read_frame` keeps reading once a frame has begun, so
+            // this never splits one; kill and drain end such a read by
+            // shutting the socket down.)
             Err(Error::TransientIo(_)) => continue,
             Err(e) => return Err(e),
         }
@@ -408,20 +408,11 @@ fn send(ctx: &ServerCtx, stream: &mut Stream, resp: &Response) -> Result<()> {
     wire::write_frame(stream, op, &body)
 }
 
-/// Execute one statement on behalf of the wire client, with the fleet-view
-/// bookkeeping (state `active`, current statement text) around it.
-fn run_statement(
-    ctx: &ServerCtx,
-    shared: &ConnShared,
-    sql: &str,
-    exec: impl FnOnce() -> Result<StatementResult>,
-) -> Response {
-    *shared.state.lock() = ConnState::Active;
-    *shared.current_sql.lock() = Some(sql.to_string());
+/// Execute one statement on behalf of the wire client. The session's own
+/// record publishes the statement to `ima$connections` while it runs.
+fn run_statement(ctx: &ServerCtx, exec: impl FnOnce() -> Result<StatementResult>) -> Response {
     ctx.stats.statements_served.fetch_add(1, Ordering::Relaxed);
-    let result = exec();
-    *shared.current_sql.lock() = None;
-    match result {
+    match exec() {
         Ok(r) => Response::Rows(r),
         Err(e) => Response::Err(WireError::from_error(&e)),
     }
@@ -466,10 +457,9 @@ fn handshake_and_serve(
     *shared.client.lock() = client;
 
     let session = ctx.engine.open_session();
-    shared
-        .session_id
-        .store(session.id().raw(), Ordering::Relaxed);
-    *shared.ash.lock() = session.ash_slot().cloned();
+    if let Some(slot) = session.ash_slot() {
+        let _ = shared.session.set(Arc::clone(slot));
+    }
     *shared.state.lock() = ConnState::Idle;
     shared.touch(ctx.registry.clock().now_nanos());
     send(
@@ -522,21 +512,19 @@ fn handshake_and_serve(
                 Err(e) => Response::Err(WireError::from_error(&e)),
             },
             Request::ExecutePrepared { id, params } => match prepared.get(&id) {
-                Some(p) => run_statement(ctx, shared, p.text(), || p.execute(&params)),
+                Some(p) => run_statement(ctx, || p.execute(&params)),
                 None => Response::Err(WireError::from_error(&Error::execution(format!(
                     "unknown prepared handle {id}"
                 )))),
             },
             Request::Execute { sql, params } => {
                 if params.is_empty() {
-                    run_statement(ctx, shared, &sql, || session.execute(&sql))
+                    run_statement(ctx, || session.execute(&sql))
                 } else {
-                    run_statement(ctx, shared, &sql, || {
-                        session.prepare(&sql)?.execute(&params)
-                    })
+                    run_statement(ctx, || session.prepare(&sql)?.execute(&params))
                 }
             }
-            Request::Query { sql } => run_statement(ctx, shared, &sql, || session.execute(&sql)),
+            Request::Query { sql } => run_statement(ctx, || session.execute(&sql)),
             Request::Set { name, value } => {
                 ok_or_err(session.set_option(&name, &value).map(|_| ()))
             }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ingot_common::{MonotonicClock, Row, Value};
 use ingot_core::ActiveSession;
@@ -55,12 +55,12 @@ pub struct ConnShared {
     pub via_unix: bool,
     /// Client self-identification from `hello`.
     pub client: Mutex<String>,
-    /// Engine session id (0 until the handshake opens the session).
-    pub session_id: AtomicU64,
+    /// The engine session's own record, set once the handshake opens the
+    /// session: its id, the statement executing right now and the wait
+    /// event it is inside.
+    pub session: OnceLock<Arc<ActiveSession>>,
     /// Current lifecycle state.
     pub state: Mutex<ConnState>,
-    /// Statement currently executing (raw text), `None` when idle.
-    pub current_sql: Mutex<Option<String>>,
     /// Last frame observed from the peer, wall-clock nanoseconds.
     pub last_activity_ns: AtomicU64,
     /// When the open explicit transaction began; 0 = no transaction.
@@ -70,8 +70,6 @@ pub struct ConnShared {
     pub kill: AtomicBool,
     /// OS-handle clone used to shutdown a handler blocked in `read`.
     pub stream: Mutex<Option<Stream>>,
-    /// The engine session's ASH slot (wait sink); fills `wait_event`.
-    pub ash: Mutex<Option<Arc<ActiveSession>>>,
 }
 
 impl ConnShared {
@@ -125,14 +123,12 @@ impl ConnRegistry {
             peer,
             via_unix,
             client: Mutex::new(String::new()),
-            session_id: AtomicU64::new(0),
+            session: OnceLock::new(),
             state: Mutex::new(ConnState::Handshake),
-            current_sql: Mutex::new(None),
             last_activity_ns: AtomicU64::new(now),
             txn_since_ns: AtomicU64::new(0),
             kill: AtomicBool::new(false),
             stream: Mutex::new(Some(stream)),
-            ash: Mutex::new(None),
         });
         self.conns
             .lock()
@@ -185,19 +181,13 @@ impl ConnRegistry {
             .lock()
             .values()
             .map(|c| {
-                let wait = c
-                    .ash
-                    .lock()
-                    .as_ref()
-                    .and_then(|slot| slot.waits().current_wait())
-                    .map(|(e, _)| Value::Str(e.name().to_string()))
-                    .unwrap_or(Value::Null);
-                let stmt = c
-                    .current_sql
-                    .lock()
-                    .as_ref()
-                    .map(|s| Value::Str(s.clone()))
-                    .unwrap_or(Value::Null);
+                let slot = c.session.get();
+                let stmt = slot
+                    .and_then(|s| s.current_statement())
+                    .map_or(Value::Null, |cur| Value::Str(cur.ctx.text.clone()));
+                let wait = slot
+                    .and_then(|s| s.waits().current_wait())
+                    .map_or(Value::Null, |(e, _)| Value::Str(e.name().to_string()));
                 let idle_ms =
                     now.saturating_sub(c.last_activity_ns.load(Ordering::Relaxed)) / 1_000_000;
                 let txn_since = c.txn_since_ns.load(Ordering::Relaxed);
@@ -207,7 +197,7 @@ impl ConnRegistry {
                     (now.saturating_sub(txn_since) / 1_000_000) as i64
                 };
                 let row = Row::new(vec![
-                    Value::Int(c.session_id.load(Ordering::Relaxed) as i64),
+                    Value::Int(slot.map_or(0, |s| s.session_id()) as i64),
                     Value::Str(c.peer.clone()),
                     Value::Str(c.client.lock().clone()),
                     Value::Str(c.state.lock().as_str().to_string()),

@@ -472,3 +472,89 @@ fn in_process_restart_serves_fresh_ima_connections_rows() {
     running.stop.request_stop();
     running.join.join().unwrap().unwrap();
 }
+
+/// `ima$connections` reads each connection's statement and wait event from
+/// its engine session's own record: a wire client blocked on another
+/// client's row lock shows its raw text and a `LockWait*` event, and no
+/// statement once idle. With wait events off the statement still shows, the
+/// wait event is NULL, sessions charge no waits and the ASH tables are
+/// absent.
+#[test]
+fn connections_view_reads_each_session_record() {
+    for wait_events in [true, false] {
+        let engine = Engine::builder()
+            .config(EngineConfig {
+                // The blocked client must outlast the polling below.
+                lock_timeout_ms: 30_000,
+                ..EngineConfig::monitoring().with_wait_events_enabled(wait_events)
+            })
+            .build()
+            .unwrap();
+        let spec = SocketSpec::Unix(temp_dir("record").join("srv.sock"));
+        let running = start(&engine, ServerConfig::new(spec.clone()));
+        let admin = connect_retry(&spec, "admin");
+        admin
+            .execute("create table kv (id int not null primary key, v int)")
+            .unwrap();
+        admin.execute("insert into kv values (1, 10)").unwrap();
+
+        let holder = connect_retry(&spec, "holder");
+        holder.begin().unwrap();
+        holder.execute("update kv set v = 20 where id = 1").unwrap();
+
+        let text = "update kv set v = 30 where id = 1";
+        let blocked = {
+            let spec = spec.clone();
+            std::thread::spawn(move || {
+                let conn = connect_retry(&spec, "blocked");
+                conn.execute(text).expect("runs once the holder commits");
+                conn
+            })
+        };
+        let blocked_row = |admin: &ClientConnection| {
+            admin
+                .query("select client, statement, wait_event from ima$connections")
+                .unwrap()
+                .rows
+                .into_iter()
+                .find(|r| r.get(0) == &Value::Str("blocked".into()))
+        };
+        let mut row = None;
+        for _ in 0..2_500 {
+            row = blocked_row(&admin)
+                .filter(|r| r.get(1) != &Value::Null && (!wait_events || r.get(2) != &Value::Null));
+            if row.is_some() {
+                break;
+            }
+            pace(2);
+        }
+        let row = row.expect("the blocked client shows its statement");
+        assert_eq!(row.get(1), &Value::Str(text.into()));
+        if wait_events {
+            let event = row.get(2).as_str().unwrap_or_default();
+            assert!(event.starts_with("LockWait"), "wait_event {event}");
+        } else {
+            assert_eq!(row.get(2), &Value::Null, "no wait events, no wait_event");
+        }
+
+        holder.commit().unwrap();
+        let blocked = blocked.join().unwrap();
+        let row = blocked_row(&admin).expect("still connected");
+        assert_eq!(row.get(1), &Value::Null, "an idle client runs no statement");
+        assert_eq!(row.get(2), &Value::Null);
+
+        if !wait_events {
+            let s = engine.open_session();
+            s.execute("select v from kv where id = 1").unwrap();
+            assert!(s.wait_totals().is_empty());
+            assert!(engine
+                .catalog()
+                .read()
+                .resolve_table("ima$active_sessions")
+                .is_err());
+        }
+        drop((blocked, holder, admin));
+        running.stop.request_stop();
+        running.join.join().unwrap().unwrap();
+    }
+}

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use ingot::analyzer::Recommendation;
 use ingot::common::waits::{WaitEvent, WAIT_EVENT_COUNT};
 use ingot::common::{MonotonicClock, StmtHash, WalFsyncMode};
-use ingot::core::AshSampler;
+use ingot::core::{ActiveSession, AshSampler, StmtCtx};
+use ingot::planner::normalize_template;
 use ingot::prelude::*;
 use proptest::prelude::*;
 
@@ -240,6 +241,108 @@ fn walfsync_dominated_interval_draws_recommendation() {
     assert!(text.contains("WalFsync"), "explain output:\n{text}");
 }
 
+/// Every sink keys a statement by the one identity `StmtCtx` derives from
+/// its raw text: a prepared statement with irregular whitespace lands in one
+/// `ima$statements` row, one plan-cache entry, one latency histogram and the
+/// ASH samples taken while it blocks — all under `StmtHash::of(text)`, with
+/// the normalised text only as the cache key and ASH template.
+#[test]
+fn every_sink_sees_one_statement_identity() {
+    const N: u64 = 8;
+    let engine = Engine::builder()
+        .config(EngineConfig {
+            lock_timeout_ms: 10_000,
+            ..EngineConfig::monitoring()
+        })
+        .build()
+        .unwrap();
+    let owner = engine.open_session();
+    owner
+        .execute("create table kv (id int not null primary key, v int)")
+        .unwrap();
+    owner.execute("insert into kv values (1, 0)").unwrap();
+
+    let text = "update  kv set v =   $1\n\t where id = $2";
+    let hash = StmtHash::of(text);
+    let template = normalize_template(text);
+    assert_ne!(template, text, "the text must need normalising");
+    let s = engine.open_session();
+    let stmt = s.prepare(text).unwrap();
+    let cache_before = engine.plan_cache_stats();
+    engine.set_tracing(true);
+    for i in 0..N {
+        stmt.execute(&[Value::Int(i as i64), Value::Int(1)])
+            .unwrap();
+    }
+    engine.set_tracing(false);
+
+    // Monitor: one row, keyed by the raw text's hash.
+    let monitor = engine.monitor().unwrap();
+    let rows: Vec<_> = monitor
+        .statements()
+        .into_iter()
+        .filter(|st| st.text.starts_with("update"))
+        .collect();
+    assert_eq!(rows.len(), 1, "one ima$statements row: {rows:?}");
+    assert_eq!(rows[0].hash, hash);
+    assert_eq!(rows[0].text, text);
+    assert_eq!(rows[0].frequency, N);
+
+    // Plan cache: one new entry, planned once and hit on every later run.
+    let cache = engine.plan_cache_stats();
+    assert_eq!(cache.entries, cache_before.entries + 1);
+    assert_eq!(cache.misses - cache_before.misses, 1);
+    assert_eq!(cache.hits - cache_before.hits, N - 1);
+    assert!(engine
+        .plan_cache()
+        .probe(&template, engine.catalog().read().epoch())
+        .is_some());
+
+    // Tracer: one latency histogram, under the same hash.
+    let hists = engine.tracer().unwrap().histograms();
+    assert_eq!(hists.len(), 1, "one histogram while tracing");
+    assert_eq!(hists[0].0, hash);
+    assert_eq!(hists[0].1.total(), N);
+
+    // ASH: block the statement on the owner's row lock and sample it.
+    owner.begin().unwrap();
+    owner.execute("update kv set v = 100 where id = 1").unwrap();
+    let sampler = engine.ash_sampler().unwrap();
+    let me = s.id().raw();
+    std::thread::scope(|scope| {
+        let blocked = scope.spawn(|| stmt.execute(&[Value::Int(-1), Value::Int(1)]));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !sampler
+            .active_snapshot()
+            .iter()
+            .any(|r| r.session_id == me && r.event.starts_with("LockWait"))
+        {
+            assert!(std::time::Instant::now() < deadline, "never blocked");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        sampler.sample_now(engine.wall_clock().now_nanos());
+        let sample = sampler
+            .history()
+            .into_iter()
+            .rev()
+            .find(|r| r.session_id == me)
+            .expect("the blocked session is sampled");
+        assert!(sample.event.starts_with("LockWait"), "{sample:?}");
+        assert_eq!(sample.hash, hash);
+        assert_eq!(sample.template, template);
+        owner.rollback().unwrap();
+        blocked.join().unwrap().unwrap();
+    });
+    assert_eq!(
+        monitor
+            .statements()
+            .iter()
+            .filter(|st| st.hash == hash)
+            .count(),
+        1
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -253,8 +356,9 @@ proptest! {
         step in 1u64..50,
     ) {
         let sampler = AshSampler::new(MonotonicClock::new(), interval, 64);
-        let slot = sampler.register_session(1);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        let slot = Arc::new(ActiveSession::new(1));
+        sampler.register_session(&slot);
+        slot.begin_statement(&StmtCtx::new("q"), 0);
         for k in 1..=ticks {
             sampler.sample_if_due(k * step);
         }
