@@ -181,7 +181,6 @@ fn run_cell(mix: Mix, conns: usize, per_conn: u64) -> Duration {
         .build()
         .expect("build engine");
     let mut cfg = ServerConfig::new(spec.clone());
-    cfg.heartbeat_timeout_ms = 600_000; // the bench fleet never idles long
     cfg.drain_deadline_ms = 10_000;
     let server = Server::bind(Arc::clone(&engine), cfg).expect("bind server");
     let stop = server.stop_handle();

@@ -11,12 +11,11 @@
 //! [`ingot_common::Error::WriteConflict`] with `is_transient()` intact, so
 //! client-side retry loops behave exactly as embedded ones.
 //!
-//! The server reaps connections silent for longer than its heartbeat
-//! budget (5 s by default), so every `ClientConnection` runs a background
-//! heartbeat thread that pings whenever the connection has been idle for
-//! [`HEARTBEAT_INTERVAL_MS`] — a user pausing at a shell prompt, or an app
-//! holding a pooled connection, never gets reaped while the process is
-//! alive. [`ClientConnection::connect_with`] can tune or disable it.
+//! Liveness needs no help from the client: the server sees a dead process
+//! as end-of-stream on its read and a dead TCP host through kernel
+//! keepalive, so a `ClientConnection` runs no background thread and a
+//! merely idle connection is never reaped. The one server-side timeout is
+//! for an explicit transaction left idle too long: it is aborted.
 //!
 //! [`connect_or_spawn`] adds the auto-spawn convenience: if nothing is
 //! accepting on the socket, it launches the `ingot-server` binary and
@@ -24,8 +23,7 @@
 //! the daemon becomes an on-demand resident process.
 
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use ingot_common::net::{connect as net_connect, SocketSpec, Stream};
@@ -33,100 +31,18 @@ use ingot_common::wire::{self, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERS
 use ingot_common::{
     Connection, Error, MonotonicClock, PreparedStatement, Result, StatementResult, Value,
 };
-use parking_lot::{Condvar, Mutex};
-
-/// Default automatic heartbeat cadence: ping after this much idle time.
-/// Well under the server's default 5 s `heartbeat_timeout_ms`; a server
-/// configured tighter than this needs [`ClientConnection::connect_with`].
-pub const HEARTBEAT_INTERVAL_MS: u64 = 1_000;
-
-/// Heartbeat-thread park granularity: short ticks keep `Drop`'s join
-/// prompt without busy-waiting.
-const HEARTBEAT_TICK_MS: u64 = 200;
-
-/// State shared between the caller and the background heartbeat thread.
-struct ConnInner {
-    stream: Mutex<Stream>,
-    /// OS-handle clone for out-of-band shutdown: lets `Drop` unblock a
-    /// heartbeat round-trip stuck on a dead server without needing the
-    /// stream mutex that round-trip is holding.
-    oob: Option<Stream>,
-    closed: AtomicBool,
-    /// When the last round-trip completed, nanoseconds on `clock`; the
-    /// heartbeat thread only pings a connection idle past its interval.
-    last_traffic_ns: AtomicU64,
-    clock: MonotonicClock,
-    hb_mutex: Mutex<()>,
-    hb_cv: Condvar,
-}
-
-impl ConnInner {
-    fn touch(&self) {
-        self.last_traffic_ns
-            .store(self.clock.now_nanos(), Ordering::Relaxed);
-    }
-
-    /// One request/response exchange. The mutex spans the whole exchange,
-    /// so caller and heartbeat round-trips never interleave on the stream.
-    fn roundtrip(&self, req: &Request) -> Result<Response> {
-        let mut stream = self.stream.lock();
-        wire::write_request(&mut *stream, req)?;
-        let resp = read_response(&mut stream)?;
-        self.touch();
-        Ok(resp)
-    }
-}
-
-/// Keeps an idle connection alive: pings once the connection has been
-/// quiet for a full interval, exits on close or on the first wire error
-/// (a dead server is the next caller's error to surface, not ours).
-fn heartbeat_loop(inner: &ConnInner, interval_ns: u64) {
-    loop {
-        if inner.closed.load(Ordering::Relaxed) {
-            return;
-        }
-        let idle = inner
-            .clock
-            .now_nanos()
-            .saturating_sub(inner.last_traffic_ns.load(Ordering::Relaxed));
-        if idle < interval_ns {
-            let wait_ms = ((interval_ns - idle) / 1_000_000 + 1).min(HEARTBEAT_TICK_MS);
-            let mut g = inner.hb_mutex.lock();
-            let _ = inner.hb_cv.wait_for(&mut g, Duration::from_millis(wait_ms));
-            continue;
-        }
-        let ping = || -> Result<()> {
-            let mut stream = inner.stream.lock();
-            // Closed while we waited for the stream: nothing to do.
-            if inner.closed.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            wire::write_request(&mut *stream, &Request::Heartbeat)?;
-            match read_response(&mut stream)? {
-                Response::Pong => Ok(()),
-                Response::Err(w) => Err(w.into_error()),
-                other => Err(Error::protocol(format!("expected pong, got {other:?}"))),
-            }
-        };
-        match ping() {
-            Ok(()) => inner.touch(),
-            Err(_) => return,
-        }
-    }
-}
+use parking_lot::Mutex;
 
 /// A live wire connection to an `ingot-server`.
 ///
 /// Thread-safe: the single underlying stream is serialized by a mutex, so
 /// one `ClientConnection` is one server session with one outstanding
 /// request at a time (open more connections for parallelism — that is what
-/// the fleet bench does). A background thread heartbeats the connection
-/// whenever it sits idle, so the server's orphan reaper only ever fires on
-/// clients whose *process* vanished.
+/// the fleet bench does).
 pub struct ClientConnection {
-    inner: Arc<ConnInner>,
+    stream: Mutex<Stream>,
+    closed: AtomicBool,
     session_id: u64,
-    heartbeater: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ClientConnection {
@@ -137,19 +53,6 @@ impl ClientConnection {
 
     /// Connect and handshake, identifying as `name` in `ima$connections`.
     pub fn connect_with_name(spec: &SocketSpec, name: &str) -> Result<ClientConnection> {
-        Self::connect_with(spec, name, HEARTBEAT_INTERVAL_MS)
-    }
-
-    /// Connect with an explicit automatic-heartbeat interval in
-    /// milliseconds. Pass a value comfortably under the server's
-    /// `heartbeat_timeout_ms`; `0` disables automatic heartbeats entirely —
-    /// the caller then owns liveness via [`heartbeat`](Self::heartbeat)
-    /// (tests use this to impersonate a vanished client).
-    pub fn connect_with(
-        spec: &SocketSpec,
-        name: &str,
-        heartbeat_interval_ms: u64,
-    ) -> Result<ClientConnection> {
         let mut stream = net_connect(spec)?;
         wire::write_request(
             &mut stream,
@@ -159,29 +62,11 @@ impl ClientConnection {
             },
         )?;
         match read_response(&mut stream)? {
-            Response::HelloOk { session_id, .. } => {
-                let oob = stream.try_clone().ok();
-                let clock = MonotonicClock::new();
-                let inner = Arc::new(ConnInner {
-                    stream: Mutex::new(stream),
-                    oob,
-                    closed: AtomicBool::new(false),
-                    last_traffic_ns: AtomicU64::new(clock.now_nanos()),
-                    clock,
-                    hb_mutex: Mutex::new(()),
-                    hb_cv: Condvar::new(),
-                });
-                let heartbeater = (heartbeat_interval_ms > 0).then(|| {
-                    let inner = Arc::clone(&inner);
-                    let interval_ns = heartbeat_interval_ms.saturating_mul(1_000_000);
-                    std::thread::spawn(move || heartbeat_loop(&inner, interval_ns))
-                });
-                Ok(ClientConnection {
-                    inner,
-                    session_id,
-                    heartbeater,
-                })
-            }
+            Response::HelloOk { session_id, .. } => Ok(ClientConnection {
+                stream: Mutex::new(stream),
+                closed: AtomicBool::new(false),
+                session_id,
+            }),
             Response::Err(w) => Err(w.into_error()),
             other => Err(Error::protocol(format!("expected hello_ok, got {other:?}"))),
         }
@@ -193,11 +78,11 @@ impl ClientConnection {
         self.session_id
     }
 
-    /// Explicit liveness ping; resets the server's orphan-reaper deadline.
-    /// The background heartbeat thread already does this for idle
-    /// connections — call it yourself only with heartbeats disabled.
+    /// Ping: one round trip through the server's dispatch that never
+    /// touches the engine, to check that a server answers. Liveness does
+    /// not need it.
     pub fn heartbeat(&self) -> Result<()> {
-        match self.inner.roundtrip(&Request::Heartbeat)? {
+        match self.roundtrip(&Request::Heartbeat)? {
             Response::Pong => Ok(()),
             Response::Err(w) => Err(w.into_error()),
             other => Err(Error::protocol(format!("expected pong, got {other:?}"))),
@@ -209,10 +94,9 @@ impl ClientConnection {
     /// started with `--allow-remote-shutdown`, and this connection stays
     /// usable after the refusal.
     pub fn shutdown_server(&self) -> Result<()> {
-        match self.inner.roundtrip(&Request::Shutdown)? {
+        match self.roundtrip(&Request::Shutdown)? {
             Response::Goodbye => {
-                self.inner.closed.store(true, Ordering::Relaxed);
-                self.inner.hb_cv.notify_all();
+                self.closed.store(true, Ordering::Relaxed);
                 Ok(())
             }
             Response::Err(w) => Err(w.into_error()),
@@ -222,17 +106,23 @@ impl ClientConnection {
 
     /// Orderly close. Dropping the connection does this best-effort.
     pub fn close(self) -> Result<()> {
-        self.inner.closed.store(true, Ordering::Relaxed);
-        self.inner.hb_cv.notify_all();
-        match self.inner.roundtrip(&Request::Close)? {
+        self.closed.store(true, Ordering::Relaxed);
+        match self.roundtrip(&Request::Close)? {
             Response::Goodbye => Ok(()),
             Response::Err(w) => Err(w.into_error()),
             other => Err(Error::protocol(format!("expected goodbye, got {other:?}"))),
         }
     }
 
+    /// One request/response exchange; the mutex spans the whole exchange.
+    fn roundtrip(&self, req: &Request) -> Result<Response> {
+        let mut stream = self.stream.lock();
+        wire::write_request(&mut *stream, req)?;
+        read_response(&mut stream)
+    }
+
     fn statement(&self, req: &Request) -> Result<StatementResult> {
-        match self.inner.roundtrip(req)? {
+        match self.roundtrip(req)? {
             Response::Rows(r) => Ok(r),
             Response::Ok => Ok(StatementResult::default()),
             Response::Err(w) => Err(w.into_error()),
@@ -242,7 +132,7 @@ impl ClientConnection {
     }
 
     fn unit(&self, req: &Request) -> Result<()> {
-        match self.inner.roundtrip(req)? {
+        match self.roundtrip(req)? {
             Response::Ok => Ok(()),
             Response::Err(w) => Err(w.into_error()),
             Response::Goodbye => Err(Error::protocol("server is draining")),
@@ -253,26 +143,9 @@ impl ClientConnection {
 
 impl Drop for ClientConnection {
     fn drop(&mut self) {
-        if !self.inner.closed.swap(true, Ordering::Relaxed) {
-            // Best-effort orderly close; the server also copes with a bare
-            // EOF (and its reaper with neither). Never wait behind a
-            // heartbeat round-trip that may itself be stuck on a dead
-            // server — fall back to an out-of-band shutdown instead.
-            match self.inner.stream.try_lock() {
-                Some(mut stream) => {
-                    let _ = wire::write_request(&mut *stream, &Request::Close);
-                    stream.shutdown();
-                }
-                None => {
-                    if let Some(s) = &self.inner.oob {
-                        s.shutdown();
-                    }
-                }
-            }
-        }
-        self.inner.hb_cv.notify_all();
-        if let Some(t) = self.heartbeater.take() {
-            let _ = t.join();
+        // Best-effort orderly close; the server copes with a bare EOF too.
+        if !*self.closed.get_mut() {
+            let _ = wire::write_request(self.stream.get_mut(), &Request::Close);
         }
     }
 }
@@ -307,11 +180,8 @@ impl PreparedStatement for ClientPrepared<'_> {
 
 impl Drop for ClientPrepared<'_> {
     fn drop(&mut self) {
-        if !self.conn.inner.closed.load(Ordering::Relaxed) {
-            let _ = self
-                .conn
-                .inner
-                .roundtrip(&Request::ClosePrepared { id: self.id });
+        if !self.conn.closed.load(Ordering::Relaxed) {
+            let _ = self.conn.roundtrip(&Request::ClosePrepared { id: self.id });
         }
     }
 }
@@ -331,7 +201,7 @@ impl Connection for ClientConnection {
     }
 
     fn prepare(&self, sql: &str) -> Result<Box<dyn PreparedStatement + '_>> {
-        match self.inner.roundtrip(&Request::Prepare {
+        match self.roundtrip(&Request::Prepare {
             sql: sql.to_string(),
         })? {
             Response::PreparedOk { id, param_count } => Ok(Box::new(ClientPrepared {
@@ -395,10 +265,12 @@ impl SpawnOptions {
 /// Connect to `spec`; if nothing is accepting, spawn an `ingot-server`
 /// there and retry with backoff until it comes up (or the budget runs out).
 ///
-/// Spawn happens at most once; the retry loop also covers the case where a
-/// *different* client's freshly spawned server is still binding, so
-/// concurrent auto-spawns converge on one server (the loser's bind fails
-/// against the winner's live socket and its spawned process exits).
+/// The retry loop also covers the case where a *different* client's freshly
+/// spawned server is still starting, so concurrent auto-spawns converge on
+/// one server: the losers fail to lock the winner's data directory (or to
+/// bind its live socket) and exit. A spawned server that exits while
+/// nothing accepts is spawned again — it lost the data directory to a
+/// predecessor that was still draining.
 pub fn connect_or_spawn(spec: &SocketSpec, opts: &SpawnOptions) -> Result<ClientConnection> {
     match ClientConnection::connect(spec) {
         Ok(c) => return Ok(c),
@@ -418,8 +290,11 @@ pub fn connect_or_spawn(spec: &SocketSpec, opts: &SpawnOptions) -> Result<Client
         cmd.arg("--idle-shutdown-ms").arg(ms.to_string());
     }
     cmd.args(&opts.extra_args);
-    cmd.spawn()
-        .map_err(|e| Error::daemon(format!("spawning {:?} failed: {e}", opts.bin())))?;
+    let mut spawn = || {
+        cmd.spawn()
+            .map_err(|e| Error::daemon(format!("spawning {:?} failed: {e}", opts.bin())))
+    };
+    let mut child = spawn()?;
     let clock = MonotonicClock::new();
     let budget_ns = opts
         .connect_timeout_ms
@@ -432,6 +307,9 @@ pub fn connect_or_spawn(spec: &SocketSpec, opts: &SpawnOptions) -> Result<Client
             Ok(c) => return Ok(c),
             Err(Error::Protocol(m)) => return Err(Error::Protocol(m)),
             Err(e) => last_err = Some(e),
+        }
+        if matches!(child.try_wait(), Ok(Some(_))) {
+            child = spawn()?;
         }
         // Waiting out a cold server start; there is no event to block on
         // (the socket file appears whenever the child finishes binding), so

@@ -549,7 +549,7 @@ pub enum Request {
         /// Handle from `Response::PreparedOk`.
         id: u64,
     },
-    /// Liveness ping; resets the server's orphan-reaper deadline.
+    /// Ping: the server answers `Pong` without touching the engine.
     Heartbeat,
     /// Orderly connection close.
     Close,
@@ -738,11 +738,11 @@ impl Response {
 // Stream I/O.
 // ---------------------------------------------------------------------------
 
+/// A read-timeout expiry (`SO_RCVTIMEO` reports `WouldBlock` on Unix).
+/// `TimedOut` is not one: it means keepalive or retransmission gave up on
+/// the peer, so the connection is dead.
 fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+    e.kind() == std::io::ErrorKind::WouldBlock
 }
 
 fn io_err(e: std::io::Error) -> Error {
@@ -1053,17 +1053,18 @@ mod tests {
         ));
     }
 
-    /// Yields its bytes in the given chunks, with a read timeout
-    /// (`WouldBlock`) after each chunk.
+    /// Yields its bytes in the given chunks, with an error of kind `stall`
+    /// after each chunk.
     struct Stalling {
         chunks: Vec<Vec<u8>>,
-        stall: bool,
+        stall: std::io::ErrorKind,
+        stalled: bool,
     }
 
     impl Read for Stalling {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if std::mem::take(&mut self.stall) {
-                return Err(std::io::ErrorKind::WouldBlock.into());
+            if std::mem::take(&mut self.stalled) {
+                return Err(self.stall.into());
             }
             if self.chunks.is_empty() {
                 return Ok(0);
@@ -1075,7 +1076,7 @@ mod tests {
             if chunk.is_empty() {
                 self.chunks.remove(0);
             }
-            self.stall = true;
+            self.stalled = true;
             Ok(n)
         }
     }
@@ -1095,10 +1096,12 @@ mod tests {
             buf[4..10].to_vec(),
             buf[10..].to_vec(),
         ];
-        let mut r = Stalling {
-            chunks,
-            stall: false,
+        let stalling = |stall| Stalling {
+            chunks: chunks.clone(),
+            stall,
+            stalled: false,
         };
+        let mut r = stalling(std::io::ErrorKind::WouldBlock);
         let (op, body) = read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap();
         assert_eq!(Request::decode(op, &body).unwrap(), req);
         // Between frames a timeout is still reported, then EOF.
@@ -1107,6 +1110,24 @@ mod tests {
             Err(Error::TransientIo(_))
         ));
         assert!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().is_none());
+
+        // `TimedOut` is a dead peer (keepalive gave up), not a poll tick:
+        // inside a frame it ends the read instead of being retried…
+        let mut r = stalling(std::io::ErrorKind::TimedOut);
+        assert!(matches!(
+            read_frame(&mut r, MAX_FRAME_BYTES),
+            Err(Error::Io(_))
+        ));
+        // …and before a frame it is not "no frame yet" either.
+        let mut r = Stalling {
+            chunks: Vec::new(),
+            stall: std::io::ErrorKind::TimedOut,
+            stalled: true,
+        };
+        assert!(matches!(
+            read_frame(&mut r, MAX_FRAME_BYTES),
+            Err(Error::Io(_))
+        ));
     }
 
     #[test]

@@ -136,6 +136,9 @@ pub struct Engine {
     /// closure reading this slot, so a restarted in-process server re-attaches
     /// its fresh registry instead of leaving the table serving stale rows.
     conn_provider: Arc<Mutex<Option<ingot_catalog::VirtualProvider>>>,
+    /// The file-backed data directory's exclusive lock, held for the
+    /// engine's lifetime (see [`lock_data_dir`]).
+    _data_dir_lock: Option<std::fs::File>,
 }
 
 /// Configures and builds an [`Engine`]. Obtained via [`Engine::builder`].
@@ -203,9 +206,10 @@ impl EngineBuilder {
     }
 
     /// Build the engine. Fails when both a path and a backend were given,
-    /// when the durability configuration is inconsistent, when opening a
-    /// file-backed store fails, or when crash recovery finds a log that
-    /// contradicts the checkpoint image.
+    /// when the durability configuration is inconsistent, when another
+    /// engine (in this or any process) has the same directory open, when
+    /// opening a file-backed store fails, or when crash recovery finds a
+    /// log that contradicts the checkpoint image.
     pub fn build(self) -> Result<Arc<Engine>> {
         if self.backend.is_some() && self.path.is_some() {
             return Err(Error::unsupported(
@@ -235,7 +239,9 @@ impl EngineBuilder {
             }
         }
         let clock = self.clock.unwrap_or_default();
+        let mut data_dir_lock = None;
         let (storage, wal) = if let Some(dir) = self.path {
+            data_dir_lock = Some(lock_data_dir(&dir)?);
             // Crash recovery, part 1: restore the page files to the last
             // durable checkpoint (recovery manifest), then open the WAL,
             // salvaging its valid prefix and truncating any torn tail.
@@ -259,7 +265,7 @@ impl EngineBuilder {
                 Wal::in_memory(&self.config),
             )
         };
-        let engine = Engine::with_storage(self.config, clock, storage, wal)?;
+        let engine = Engine::with_storage(self.config, clock, storage, wal, data_dir_lock)?;
         engine.replay_wal()?;
         // New commit timestamps must start above every stamp already in the
         // data pages — checkpointed versions as well as replayed ones.
@@ -273,6 +279,29 @@ impl EngineBuilder {
         };
         engine.txns.restore_commit_seq(max_ts);
         Ok(engine)
+    }
+}
+
+/// Take the exclusive lock on `<dir>/ingot.lock`. Recovery and the WAL
+/// open rewrite files that a live engine is still appending to, so a second
+/// engine on the same directory must fail before either runs. The lock
+/// lasts as long as the returned file stays open.
+fn lock_data_dir(dir: &std::path::Path) -> Result<std::fs::File> {
+    let io = |e: std::io::Error| Error::Io(format!("data directory {}: {e}", dir.display()));
+    std::fs::create_dir_all(dir).map_err(io)?;
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join("ingot.lock"))
+        .map_err(io)?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(std::fs::TryLockError::WouldBlock) => Err(Error::storage(format!(
+            "data directory {} is in use by another engine",
+            dir.display()
+        ))),
+        Err(std::fs::TryLockError::Error(e)) => Err(io(e)),
     }
 }
 
@@ -294,6 +323,7 @@ impl Engine {
         sim_clock: SimClock,
         storage: StorageEngine,
         wal: Wal,
+        data_dir_lock: Option<std::fs::File>,
     ) -> Result<Arc<Engine>> {
         let wall = MonotonicClock::new();
         let wal = Arc::new(wal);
@@ -375,6 +405,7 @@ impl Engine {
             waits,
             ash,
             conn_provider: Arc::new(Mutex::new(None)),
+            _data_dir_lock: data_dir_lock,
         }))
     }
 

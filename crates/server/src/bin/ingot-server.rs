@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ingot-server --socket unix:/tmp/ingot.sock [--data DIR]
-//!              [--heartbeat-timeout-ms N] [--idle-shutdown-ms N]
+//!              [--idle-in-txn-timeout-ms N] [--idle-shutdown-ms N]
 //!              [--drain-deadline-ms N] [--allow-remote-shutdown] [--original]
 //! ```
 //!
@@ -24,7 +24,7 @@ use ingot_server::{signal, Server, ServerConfig};
 struct Args {
     socket: SocketSpec,
     data: Option<std::path::PathBuf>,
-    heartbeat_timeout_ms: u64,
+    idle_in_txn_timeout_ms: u64,
     idle_shutdown_ms: u64,
     drain_deadline_ms: u64,
     allow_remote_shutdown: bool,
@@ -34,7 +34,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut socket = None;
     let mut data = None;
-    let mut heartbeat_timeout_ms = 5_000;
+    let mut idle_in_txn_timeout_ms = 5_000;
     let mut idle_shutdown_ms = 0;
     let mut drain_deadline_ms = 1_000;
     let mut allow_remote_shutdown = false;
@@ -45,10 +45,10 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--socket" => socket = Some(SocketSpec::parse(&value("--socket")?)),
             "--data" => data = Some(std::path::PathBuf::from(value("--data")?)),
-            "--heartbeat-timeout-ms" => {
-                heartbeat_timeout_ms = value("--heartbeat-timeout-ms")?
+            "--idle-in-txn-timeout-ms" => {
+                idle_in_txn_timeout_ms = value("--idle-in-txn-timeout-ms")?
                     .parse()
-                    .map_err(|e| format!("--heartbeat-timeout-ms: {e}"))?
+                    .map_err(|e| format!("--idle-in-txn-timeout-ms: {e}"))?
             }
             "--idle-shutdown-ms" => {
                 idle_shutdown_ms = value("--idle-shutdown-ms")?
@@ -68,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         socket: socket.ok_or("missing required --socket <spec>")?,
         data,
-        heartbeat_timeout_ms,
+        idle_in_txn_timeout_ms,
         idle_shutdown_ms,
         drain_deadline_ms,
         allow_remote_shutdown,
@@ -102,7 +102,7 @@ fn main() -> ExitCode {
         }
     };
     let mut server_config = ServerConfig::new(args.socket.clone());
-    server_config.heartbeat_timeout_ms = args.heartbeat_timeout_ms;
+    server_config.idle_in_txn_timeout_ms = args.idle_in_txn_timeout_ms;
     server_config.idle_shutdown_ms = args.idle_shutdown_ms;
     server_config.drain_deadline_ms = args.drain_deadline_ms;
     server_config.allow_remote_shutdown = args.allow_remote_shutdown;

@@ -15,9 +15,12 @@
 //!   connect-probe before unlink, re-probe instead of re-unlink on a
 //!   post-unlink `AddrInUse` (see [`socket::bind`]).
 //! * **Serve** ([`Server::run`]) — per-connection handler threads; a reaper
-//!   thread drives ASH sampling, heartbeat expiry (orphaned connections are
-//!   killed and their open transaction aborts, charged to
-//!   `ima$transactions`), and the idle auto-shutdown clock.
+//!   thread drives ASH sampling and the idle-in-transaction timeout (an
+//!   explicit transaction left idle past
+//!   [`ServerConfig::idle_in_txn_timeout_ms`] is killed and aborts, charged
+//!   to `ima$transactions`). The socket decides liveness: a dead client
+//!   process is end-of-stream on the handler's read, a dead TCP host fails
+//!   kernel keepalive, and either way teardown aborts its transaction.
 //! * **Drain** — on SIGTERM ([`signal`]) or [`StopHandle::request_stop`]:
 //!   stop accepting, let in-flight statements and open transactions finish
 //!   up to [`ServerConfig::drain_deadline_ms`], then abort idle-in-txn
@@ -29,6 +32,7 @@
 //! attached through the engine's swappable provider slot so an in-process
 //! restart serves fresh rows.
 
+mod ffi;
 pub mod registry;
 pub mod signal;
 pub mod socket;
@@ -62,10 +66,11 @@ const KILL_GRACE_MS: u64 = 2_000;
 pub struct ServerConfig {
     /// Where to listen.
     pub socket: SocketSpec,
-    /// A connection with no traffic for this long (and no statement in
-    /// flight) is treated as orphaned and reaped. Clients idle longer than
-    /// this must send `Heartbeat` frames.
-    pub heartbeat_timeout_ms: u64,
+    /// An explicit transaction left idle (no verb running) for longer than
+    /// this is aborted and its connection closed, the same idea as
+    /// Postgres's `idle_in_transaction_session_timeout`. A connection idle
+    /// outside a transaction is never reaped.
+    pub idle_in_txn_timeout_ms: u64,
     /// Exit after the fleet has been empty this long; 0 disables.
     pub idle_shutdown_ms: u64,
     /// Graceful-drain budget: how long open transactions may keep running
@@ -81,12 +86,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults for `socket`: 5 s heartbeat timeout, no idle shutdown,
-    /// 1 s drain deadline.
+    /// Defaults for `socket`: 5 s idle-in-transaction timeout, no idle
+    /// shutdown, 1 s drain deadline.
     pub fn new(socket: SocketSpec) -> Self {
         ServerConfig {
             socket,
-            heartbeat_timeout_ms: 5_000,
+            idle_in_txn_timeout_ms: 5_000,
             idle_shutdown_ms: 0,
             drain_deadline_ms: 1_000,
             max_frame_bytes: wire::MAX_FRAME_BYTES,
@@ -239,14 +244,13 @@ impl Server {
     /// checkpoint then shrinks the restart's WAL replay.
     pub fn run(self) -> Result<RunOutcome> {
         self.listener.set_nonblocking()?;
-        let handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let reaper_done = Arc::new(AtomicBool::new(false));
         let reaper = {
             let ctx = Arc::clone(&self.ctx);
             let done = Arc::clone(&reaper_done);
-            let heartbeat_ns = self.config.heartbeat_timeout_ms.saturating_mul(1_000_000);
-            std::thread::spawn(move || reaper_loop(&ctx, &done, heartbeat_ns))
+            let budget_ns = self.config.idle_in_txn_timeout_ms.saturating_mul(1_000_000);
+            std::thread::spawn(move || reaper_loop(&ctx, &done, budget_ns))
         };
 
         let via_unix = matches!(self.listener, Listener::Unix(..));
@@ -270,7 +274,10 @@ impl Server {
                         Ok(clone) => {
                             let shared = self.ctx.registry.register(peer, via_unix, clone);
                             let ctx = Arc::clone(&self.ctx);
-                            handles.lock().push(std::thread::spawn(move || {
+                            // A finished handler needs no join: the list stays
+                            // bounded by the live fleet, not by every accept.
+                            handles.retain(|h| !h.is_finished());
+                            handles.push(std::thread::spawn(move || {
                                 serve_conn(&ctx, &shared, stream);
                             }));
                         }
@@ -303,7 +310,7 @@ impl Server {
         reaper_done.store(true, Ordering::Relaxed);
         self.ctx.pacer.notify();
         let _ = reaper.join();
-        for h in handles.lock().drain(..) {
+        for h in handles {
             let _ = h.join();
         }
         let _ = self.ctx.engine.checkpoint();
@@ -312,9 +319,12 @@ impl Server {
     }
 }
 
-/// ASH sampling, heartbeat expiry and nothing else — the reaper never
-/// touches the statement path.
-fn reaper_loop(ctx: &ServerCtx, done: &AtomicBool, heartbeat_ns: u64) {
+/// ASH sampling, the idle-in-transaction timeout and nothing else — the
+/// reaper never touches the statement path. Only `idle_in_txn` connections
+/// are candidates: a verb in flight runs as `active`, and the handler
+/// re-stamps activity before it flips back, so the budget counts from the
+/// end of the last verb.
+fn reaper_loop(ctx: &ServerCtx, done: &AtomicBool, budget_ns: u64) {
     while !done.load(Ordering::Relaxed) {
         ctx.pacer.pause(TICK_MS);
         let now = ctx.registry.clock().now_nanos();
@@ -322,13 +332,11 @@ fn reaper_loop(ctx: &ServerCtx, done: &AtomicBool, heartbeat_ns: u64) {
             sampler.sample_if_due(now);
         }
         for conn in ctx.registry.snapshot() {
-            // A connection mid-statement is alive even when silent: the
-            // client is waiting for our response, not heartbeating.
-            if *conn.state.lock() == ConnState::Active {
+            if *conn.state.lock() != ConnState::IdleInTxn {
                 continue;
             }
             let last = conn.last_activity_ns.load(Ordering::Relaxed);
-            if now.saturating_sub(last) > heartbeat_ns && !conn.kill.load(Ordering::Relaxed) {
+            if now.saturating_sub(last) > budget_ns && !conn.kill.load(Ordering::Relaxed) {
                 conn.kill_now();
                 ctx.stats.connections_reaped.fetch_add(1, Ordering::Relaxed);
             }
@@ -337,9 +345,9 @@ fn reaper_loop(ctx: &ServerCtx, done: &AtomicBool, heartbeat_ns: u64) {
 }
 
 /// Full connection lifecycle: handshake, serve, teardown. Teardown always
-/// runs — dropping the engine [`Session`] aborts an open transaction
-/// (charged to `ima$transactions`) and releases its locks, which is exactly
-/// the orphan-reap path.
+/// runs — on end-of-stream, a read error, a kill or a drain — and dropping
+/// the engine [`Session`] aborts an open transaction (charged to
+/// `ima$transactions`) and releases its locks.
 fn serve_conn(ctx: &Arc<ServerCtx>, shared: &Arc<ConnShared>, mut stream: Stream) {
     let _ = handshake_and_serve(ctx, shared, &mut stream);
     shared.stream.lock().take();
@@ -494,8 +502,8 @@ fn handshake_and_serve(
             }
         };
         // Every verb — not just statements — runs as `active`, so the reaper
-        // never mistakes a commit (or begin/rollback/set) stalled past the
-        // heartbeat timeout for an orphan and kills it mid-verb.
+        // never kills a transaction mid-verb (a commit stalled on the WAL, a
+        // statement blocked on a row lock).
         *shared.state.lock() = ConnState::Active;
         let resp = match req {
             Request::Hello { .. } => {
@@ -560,9 +568,9 @@ fn handshake_and_serve(
             }
         };
         // Fleet-view bookkeeping: transaction age + idle state. The verb may
-        // have run longer than the heartbeat budget, so re-stamp activity
-        // *after* it finishes — the flip back to idle below must never expose
-        // a pre-execution timestamp to the reaper.
+        // have run longer than the idle-in-txn budget, so re-stamp activity
+        // *after* it finishes — the flip to `idle_in_txn` below must never
+        // expose a pre-execution timestamp to the reaper.
         let now = ctx.registry.clock().now_nanos();
         shared.touch(now);
         let in_txn = session.in_transaction();

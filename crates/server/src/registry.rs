@@ -1,7 +1,8 @@
 //! The wire-connection fleet registry behind `ima$connections`.
 //!
 //! One [`ConnShared`] per live connection, written by the handler thread and
-//! read by the reaper (heartbeat expiry) and the `ima$connections` provider.
+//! read by the reaper (idle-in-transaction timeout) and the `ima$connections`
+//! provider.
 //! Everything the provider reads is either atomic or behind its own short
 //! mutex — a fleet snapshot never blocks the statement path.
 
@@ -61,19 +62,21 @@ pub struct ConnShared {
     pub session: OnceLock<Arc<ActiveSession>>,
     /// Current lifecycle state.
     pub state: Mutex<ConnState>,
-    /// Last frame observed from the peer, wall-clock nanoseconds.
+    /// When the peer's last frame arrived or its last verb finished,
+    /// wall-clock nanoseconds.
     pub last_activity_ns: AtomicU64,
     /// When the open explicit transaction began; 0 = no transaction.
     pub txn_since_ns: AtomicU64,
-    /// Raised by the reaper (heartbeat expiry) or the drain deadline; the
-    /// handler abandons the connection at the next flag check.
+    /// Raised by the reaper (a transaction idle past the idle-in-txn
+    /// timeout) or the drain deadline; the handler abandons the connection
+    /// at the next flag check, and its teardown aborts the transaction.
     pub kill: AtomicBool,
     /// OS-handle clone used to shutdown a handler blocked in `read`.
     pub stream: Mutex<Option<Stream>>,
 }
 
 impl ConnShared {
-    /// Mark peer traffic now (any frame counts as a heartbeat).
+    /// Mark activity now: a frame arrived or a verb finished.
     pub fn touch(&self, now_ns: u64) {
         self.last_activity_ns.store(now_ns, Ordering::Relaxed);
     }

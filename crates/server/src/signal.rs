@@ -1,15 +1,8 @@
 //! SIGTERM / SIGINT → graceful-drain flag.
 //!
-//! The workspace bans `unsafe` everywhere (`#![forbid(unsafe_code)]` in
-//! every other crate root); this crate relaxes that to `#![deny]` solely
-//! for this module, because registering a signal handler is impossible
-//! without FFI and the container image carries no `libc`/`signal-hook`
-//! crate to delegate to. The exemption is as small as it can be made:
-//!
-//! * one `extern "C"` declaration of POSIX `signal(2)` from the platform
-//!   libc the binary already links against,
-//! * a handler that performs exactly one async-signal-safe operation — a
-//!   relaxed store to a `static AtomicBool`.
+//! Registering a handler needs FFI, which lives in the crate's one
+//! `unsafe` module ([`crate::ffi`]); the handler performs exactly one
+//! async-signal-safe operation — a relaxed store to a `static AtomicBool`.
 //!
 //! Everything else (drain sequencing, deadline handling) happens on normal
 //! threads that poll [`term_requested`]. Tests never raise real signals;
@@ -28,29 +21,12 @@ extern "C" fn on_term(_signum: i32) {
     TERM.store(true, Ordering::Relaxed);
 }
 
-#[allow(unsafe_code)]
-mod ffi {
-    extern "C" {
-        // POSIX signal(2). The return value (previous handler) is unused.
-        pub fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install(signum: i32, handler: extern "C" fn(i32)) {
-        // SAFETY: `signal` is the libc the binary links against; the handler
-        // is a plain `extern "C" fn(i32)` that only stores an AtomicBool,
-        // which is async-signal-safe. No data is passed across the boundary.
-        unsafe {
-            signal(signum, handler);
-        }
-    }
-}
-
 /// Install the SIGTERM/SIGINT handler. Idempotent; call once at startup of
 /// the daemon binary. In-process servers (tests, embedded supervisors)
 /// skip this and use [`request_term`] / their per-server stop flag.
 pub fn install_term_handler() {
-    ffi::install(SIGTERM, on_term);
-    ffi::install(SIGINT, on_term);
+    crate::ffi::install_signal_handler(SIGTERM, on_term);
+    crate::ffi::install_signal_handler(SIGINT, on_term);
 }
 
 /// Has a termination signal (or [`request_term`]) been observed?

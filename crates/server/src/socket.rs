@@ -11,6 +11,15 @@ use ingot_common::{Error, Result};
 
 pub use ingot_common::net::{SocketSpec, Stream};
 
+/// TCP keepalive on accepted streams: first probe after 2 s of silence,
+/// then one per second, and the connection fails after 3 misses — a dead
+/// peer host is dropped about 5 s after its last traffic. (A dead peer
+/// *process* needs none of this: its kernel closes the socket and the
+/// handler reads end-of-stream.)
+const KEEPALIVE_IDLE_S: i32 = 2;
+const KEEPALIVE_INTERVAL_S: i32 = 1;
+const KEEPALIVE_COUNT: i32 = 3;
+
 /// A bound listener over either transport.
 pub enum Listener {
     /// Unix-domain listener; the path is kept for unlink-on-close.
@@ -32,6 +41,14 @@ impl Listener {
             Listener::Tcp(l) => match l.accept() {
                 Ok((s, peer)) => {
                     s.set_nodelay(true).ok();
+                    #[cfg(target_os = "linux")]
+                    crate::ffi::tcp_keepalive(
+                        std::os::fd::AsRawFd::as_raw_fd(&s),
+                        KEEPALIVE_IDLE_S,
+                        KEEPALIVE_INTERVAL_S,
+                        KEEPALIVE_COUNT,
+                    )
+                    .ok();
                     Ok(Some((Stream::Tcp(s), peer.to_string())))
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),

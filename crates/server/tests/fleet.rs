@@ -12,6 +12,7 @@ use ingot_common::wire::{self, Request, Response};
 use ingot_common::{Connection, EngineConfig, SocketSpec, Value};
 use ingot_core::Engine;
 use ingot_server::{RunOutcome, Server, ServerConfig, StopHandle};
+use ingot_trace::ServerStats;
 use parking_lot::{Condvar, Mutex};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -46,14 +47,16 @@ fn connect_retry(spec: &SocketSpec, name: &str) -> ClientConnection {
 
 struct Running {
     stop: StopHandle,
+    stats: Arc<ServerStats>,
     join: std::thread::JoinHandle<ingot_common::Result<RunOutcome>>,
 }
 
 fn start(engine: &Arc<Engine>, config: ServerConfig) -> Running {
     let server = Server::bind(Arc::clone(engine), config).expect("bind");
     let stop = server.stop_handle();
+    let stats = Arc::clone(server.stats());
     let join = std::thread::spawn(move || server.run());
-    Running { stop, join }
+    Running { stop, stats, join }
 }
 
 #[test]
@@ -71,7 +74,6 @@ fn fleet_of_64_wire_clients_drains_without_losing_acked_commits() {
         .build()
         .unwrap();
     let mut cfg = ServerConfig::new(spec.clone());
-    cfg.heartbeat_timeout_ms = 60_000;
     cfg.drain_deadline_ms = 5_000;
     let running = start(&engine, cfg);
 
@@ -171,7 +173,7 @@ fn orphan_is_reaped_its_txn_aborted_and_its_locks_released() {
         .build()
         .unwrap();
     let mut cfg = ServerConfig::new(spec.clone());
-    cfg.heartbeat_timeout_ms = 300;
+    cfg.idle_in_txn_timeout_ms = 300;
     let running = start(&engine, cfg);
 
     let admin = connect_retry(&spec, "admin");
@@ -181,17 +183,17 @@ fn orphan_is_reaped_its_txn_aborted_and_its_locks_released() {
     admin.execute("insert into kv values (1, 10)").unwrap();
     let aborted_before = aborted_total(&admin);
 
-    // The victim opens a transaction, takes the row lock… and goes silent
-    // (heartbeats disabled + mem::forget skips the Drop close — from the
-    // server's side this is a vanished client, not an orderly disconnect).
-    let victim = ClientConnection::connect_with(&spec, "victim", 0).expect("victim connects");
+    // The victim opens a transaction, takes the row lock… and hangs:
+    // mem::forget skips the Drop close and keeps the socket open, so from
+    // the server's side this is a live but silent peer, not an EOF.
+    let victim = connect_retry(&spec, "victim");
     victim.begin().unwrap();
     victim.execute("update kv set v = 20 where id = 1").unwrap();
     std::mem::forget(victim);
 
-    // Heartbeat expiry (300 ms) must kill the orphan; Session teardown
-    // rolls its transaction back and releases the row lock, after which
-    // this update stops conflicting.
+    // The idle-in-txn timeout (300 ms) must kill the victim; Session
+    // teardown rolls its transaction back and releases the row lock, after
+    // which this update stops conflicting.
     let mut released = false;
     for _ in 0..200 {
         match admin.execute("update kv set v = 30 where id = 1") {
@@ -213,6 +215,83 @@ fn orphan_is_reaped_its_txn_aborted_and_its_locks_released() {
         aborted_total(&admin) > aborted_before,
         "the reaped orphan's abort must be charged to ima$transactions"
     );
+    assert_eq!(running.stats.connections_reaped.load(Ordering::Relaxed), 1);
+
+    running.stop.request_stop();
+    assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
+}
+
+/// A dead client process needs no timeout: the raw-socket client below
+/// takes a row lock inside a transaction and drops its stream without
+/// `Close`. With the idle-in-txn budget at 60 s only the end-of-stream on
+/// the handler's read can explain the lock coming free within seconds,
+/// and the reaper never fires.
+#[test]
+fn dropped_client_holding_a_lock_is_released_by_end_of_stream() {
+    let spec = SocketSpec::Unix(temp_dir("eof").join("srv.sock"));
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .build()
+        .unwrap();
+    let mut cfg = ServerConfig::new(spec.clone());
+    cfg.idle_in_txn_timeout_ms = 60_000;
+    let running = start(&engine, cfg);
+
+    let admin = connect_retry(&spec, "admin");
+    admin
+        .execute("create table kv (id int not null primary key, v int)")
+        .unwrap();
+    admin.execute("insert into kv values (1, 10)").unwrap();
+    let aborted_before = aborted_total(&admin);
+
+    let mut stream = loop {
+        match ingot_common::net::connect(&spec) {
+            Ok(s) => break s,
+            Err(_) => pace(2),
+        }
+    };
+    let mut roundtrip = |req: Request| {
+        wire::write_request(&mut stream, &req).unwrap();
+        let (op, body) = wire::read_frame(&mut stream, wire::MAX_FRAME_BYTES)
+            .unwrap()
+            .expect("server answers");
+        Response::decode(op, &body).unwrap()
+    };
+    assert!(matches!(
+        roundtrip(Request::Hello {
+            version: wire::PROTOCOL_VERSION,
+            client: "raw".into(),
+        }),
+        Response::HelloOk { .. }
+    ));
+    assert_eq!(roundtrip(Request::Begin), Response::Ok);
+    assert!(matches!(
+        roundtrip(Request::Execute {
+            sql: "update kv set v = 20 where id = 1".into(),
+            params: Vec::new(),
+        }),
+        Response::Rows(_)
+    ));
+    drop(stream);
+
+    let mut released = false;
+    for _ in 0..250 {
+        match admin.execute("update kv set v = 30 where id = 1") {
+            Ok(_) => {
+                released = true;
+                break;
+            }
+            Err(_) => pace(20),
+        }
+    }
+    assert!(released, "the dropped client's row lock was never released");
+    let r = admin.query("select v from kv where id = 1").unwrap();
+    assert_eq!(r.rows[0].get(0).as_int(), Some(30));
+    assert!(
+        aborted_total(&admin) > aborted_before,
+        "the dropped client's abort must be charged to ima$transactions"
+    );
+    assert_eq!(running.stats.connections_reaped.load(Ordering::Relaxed), 0);
 
     running.stop.request_stop();
     assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
@@ -287,59 +366,49 @@ fn shutdown_verb_drains_the_server() {
     assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
 }
 
+/// A connection idle outside a transaction is never reaped, however long
+/// it idles: no heartbeat keeps it alive, and none is needed.
 #[test]
-fn idle_client_outlives_the_heartbeat_timeout_via_auto_heartbeats() {
-    let sock = temp_dir("hb").join("srv.sock");
-    let spec = SocketSpec::Unix(sock);
+fn idle_client_outside_a_transaction_is_never_reaped() {
+    let spec = SocketSpec::Unix(temp_dir("idle").join("srv.sock"));
     let engine = Engine::builder()
         .config(EngineConfig::monitoring())
         .build()
         .unwrap();
     let mut cfg = ServerConfig::new(spec.clone());
-    cfg.heartbeat_timeout_ms = 300;
+    cfg.idle_in_txn_timeout_ms = 300;
     let running = start(&engine, cfg);
 
-    // Pings every 100 ms while idle: pausing well past the 300 ms server
-    // budget (a user thinking at a shell prompt) must not get us reaped.
-    let chatty = ClientConnection::connect_with(&spec, "chatty", 100).expect("connect");
-    chatty
-        .execute("create table t (id int not null primary key)")
+    let conn = connect_retry(&spec, "idle");
+    conn.execute("create table t (id int not null primary key)")
         .unwrap();
-    // A muted twin really does get reaped — proving the pause below is
-    // long enough that only the heartbeats keep `chatty` alive.
-    let muted = ClientConnection::connect_with(&spec, "muted", 0).expect("connect");
-    muted.execute("insert into t values (1)").unwrap();
-
     pace(1_000);
-    chatty
-        .execute("insert into t values (2)")
-        .expect("an idle-but-heartbeating client must survive the reaper");
-    assert!(
-        muted.execute("insert into t values (3)").is_err(),
-        "a silent client must still be reaped"
-    );
+    conn.execute("insert into t values (1)")
+        .expect("an idle client outside a transaction must survive");
+    assert_eq!(running.stats.heartbeats.load(Ordering::Relaxed), 0);
+    assert_eq!(running.stats.connections_reaped.load(Ordering::Relaxed), 0);
 
-    drop(muted);
+    drop(conn);
     running.stop.request_stop();
     assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
-    drop(chatty);
 }
 
+/// A verb is never killed mid-flight, and the idle-in-txn budget counts
+/// from its end: a wire client inside a transaction, blocked 600 ms on a
+/// row lock an in-process session holds, survives a 300 ms budget, and is
+/// still alive 150 ms after the verb finishes.
 #[test]
-fn verb_running_past_the_heartbeat_budget_is_not_reaped() {
-    let sock = temp_dir("slow").join("srv.sock");
-    let spec = SocketSpec::Unix(sock);
+fn verb_running_past_the_idle_in_txn_budget_is_not_reaped() {
+    let spec = SocketSpec::Unix(temp_dir("slow").join("srv.sock"));
     let engine = Engine::builder()
         .config(EngineConfig::monitoring())
         .build()
         .unwrap();
     let mut cfg = ServerConfig::new(spec.clone());
-    cfg.heartbeat_timeout_ms = 300;
+    cfg.idle_in_txn_timeout_ms = 300;
     let running = start(&engine, cfg);
 
-    // The holder idles in-txn for 600 ms while it pins the row lock, so it
-    // heartbeats every 100 ms to stay clear of the 300 ms reaper budget.
-    let holder = ClientConnection::connect_with(&spec, "holder", 100).expect("connect");
+    let holder = engine.open_session();
     holder
         .execute("create table kv (id int not null primary key, v int)")
         .unwrap();
@@ -347,26 +416,28 @@ fn verb_running_past_the_heartbeat_budget_is_not_reaped() {
     holder.begin().unwrap();
     holder.execute("update kv set v = 20 where id = 1").unwrap();
 
-    // With heartbeats off, `blocked` stays alive across the 600 ms lock
-    // wait only because (a) the verb runs as `active` and (b) its activity
-    // stamp is refreshed when the verb *finishes* — a stale pre-execution
-    // timestamp would get it reaped the moment it flipped back to idle.
-    let blocked = ClientConnection::connect_with(&spec, "blocked", 0).expect("connect");
+    let blocked = connect_retry(&spec, "blocked");
+    blocked.begin().unwrap();
     let waiter = std::thread::spawn(move || {
-        // Outcome (write-conflict vs success) is irrelevant; only that the
-        // connection survives a verb stalled far past the budget matters.
-        let _ = blocked.execute("update kv set v = 30 where id = 1");
+        blocked
+            .execute("update kv set v = 30 where id = 1")
+            .expect("the update runs once the holder rolls back");
         blocked
     });
     pace(600);
-    holder.commit().unwrap();
+    // Rolling back (not committing) leaves no write conflict, so the
+    // blocked client's transaction stays open after its verb.
+    holder.rollback().unwrap();
     let blocked = waiter.join().unwrap();
-    // Less than the 300 ms budget since the verb completed: still alive.
     pace(150);
-    blocked
-        .query("select count(*) from kv")
+    let r = blocked
+        .query("select v from kv where id = 1")
         .expect("connection reaped although its long verb just finished");
+    assert_eq!(r.rows[0].get(0).as_int(), Some(30));
+    blocked.commit().expect("the transaction survived");
+    assert_eq!(running.stats.connections_reaped.load(Ordering::Relaxed), 0);
 
+    drop(blocked);
     running.stop.request_stop();
     assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
 }

@@ -1,12 +1,12 @@
 //! Lifecycle tests against the real `ingot-server` binary: auto-spawn,
-//! idle auto-shutdown, respawn-on-reconnect, and (behind `--ignored`, run
+//! idle auto-shutdown, respawn-on-reconnect, concurrent auto-spawns, and (behind `--ignored`, run
 //! by the CI `server-smoke` job) a SIGTERM mid-load drain that must lose
 //! no acknowledged commit.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use ingot_client::{connect_or_spawn, ClientConnection, SpawnOptions};
@@ -78,6 +78,54 @@ fn idle_shutdown_then_reconnect_respawns_cleanly() {
     let conn = connect_or_spawn(&spec, &opts).expect("auto-respawn");
     let r = conn.query("select count(*) from t").unwrap();
     assert_eq!(r.rows[0].get(0).as_int(), Some(1));
+    conn.shutdown_server().expect("orderly shutdown");
+}
+
+/// Spawn race (coop RFC §6.2.1): eight callers find no server at once and
+/// all auto-spawn on one socket and one data directory. They converge on
+/// one server — each sees all eight connections in `ima$connections` — and
+/// the losers leave the winner's files alone: after a shutdown, a respawned
+/// server returns every caller's commit.
+#[test]
+fn concurrent_auto_spawns_converge_on_one_server() {
+    const CALLERS: usize = 8;
+    let data = temp_dir("race-data");
+    let spec = SocketSpec::Unix(temp_dir("race-sock").join("srv.sock"));
+    let opts = spawn_opts(&data);
+    let connected = Arc::new(Barrier::new(CALLERS));
+    let created = Arc::new(Barrier::new(CALLERS));
+    let callers: Vec<_> = (0..CALLERS)
+        .map(|i| {
+            let (spec, opts) = (spec.clone(), opts.clone());
+            let (connected, created) = (Arc::clone(&connected), Arc::clone(&created));
+            std::thread::spawn(move || {
+                let conn = connect_or_spawn(&spec, &opts).expect("every caller connects");
+                connected.wait();
+                let r = conn.query("select session from ima$connections").unwrap();
+                assert_eq!(r.rows.len(), CALLERS, "every caller on one server");
+                if i == 0 {
+                    conn.execute("create table t (id int not null primary key)")
+                        .unwrap();
+                }
+                created.wait();
+                conn.execute(&format!("insert into t values ({i})"))
+                    .expect("commit acked");
+                conn
+            })
+        })
+        .collect();
+    let conns: Vec<ClientConnection> = callers.into_iter().map(|t| t.join().unwrap()).collect();
+    conns[0].shutdown_server().expect("orderly shutdown");
+    drop(conns);
+
+    let conn = connect_or_spawn(&spec, &opts).expect("auto-respawn");
+    let r = conn.query("select id from t order by id").unwrap();
+    let ids: Vec<i64> = r
+        .rows
+        .iter()
+        .filter_map(|row| row.get(0).as_int())
+        .collect();
+    assert_eq!(ids, (0..CALLERS as i64).collect::<Vec<_>>());
     conn.shutdown_server().expect("orderly shutdown");
 }
 

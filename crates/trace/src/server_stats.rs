@@ -17,7 +17,8 @@ pub struct ServerStats {
     pub connections_opened: AtomicU64,
     /// Connections fully torn down.
     pub connections_closed: AtomicU64,
-    /// Connections force-closed by the orphan reaper (heartbeat expiry).
+    /// Connections force-closed by the reaper because their explicit
+    /// transaction sat idle past the idle-in-transaction timeout.
     pub connections_reaped: AtomicU64,
     /// Request frames read.
     pub frames_in: AtomicU64,
@@ -59,7 +60,7 @@ impl ServerStats {
         );
         snap.push(
             "ingot_server_connections_reaped_total",
-            "Orphaned wire connections reaped after heartbeat expiry.",
+            "Wire connections killed, their transaction aborted, after idling in a transaction past the timeout.",
             MetricKind::Counter,
             c(&self.connections_reaped),
         );

@@ -353,6 +353,32 @@ fn every_crash_point_preserves_acknowledged_commits() {
     }
 }
 
+/// A second engine on a directory that a live engine holds is refused
+/// before recovery runs: recovery and the WAL open would otherwise cut the
+/// log the live engine is still appending to. The live engine keeps
+/// committing, and everything it acknowledged survives a later reopen.
+#[test]
+fn second_engine_on_a_live_directory_is_refused() {
+    let dir = scratch_dir("dir-lock");
+    let e = open(&dir, WalFsyncMode::Always);
+    let s = e.open_session();
+    seed_mix(&s);
+    let err = match Engine::builder().path(&dir).build() {
+        Ok(_) => panic!("a second engine opened a live data directory"),
+        Err(err) => err,
+    };
+    assert!(
+        err.to_string().contains(&dir.display().to_string()),
+        "the refusal must name the directory: {err}"
+    );
+    s.execute("insert into t values (7, 'after the refused open')")
+        .unwrap();
+    drop(s);
+    drop(e);
+    let e = open(&dir, WalFsyncMode::Always);
+    assert_eq!(table_ints(&e), vec![0, 1, 2, 3, 4, 5, 7, 100]);
+}
+
 /// The WAL's counters are queryable over SQL as `ima$wal` and agree with the
 /// typed stats surface.
 #[test]
